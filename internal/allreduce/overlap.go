@@ -138,12 +138,13 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 		recvBW[j] = ex.PeerSpec(nm).RecvBW
 	}
 	order := RouteOrder(name, self, k, dim, ex.PeerSpec(execs[self]).SendBW, recvBW)
+	rsTags, fbNotes := chunkTags("xch:rs:", name, C), chunkTags("fb:", name, C)
 
 	produce := func(c, blo, bhi int) {
 		start := p.Now()
 		ex.ChargeAsync(p, prod.Work(blo, bhi), func() { prod.Produce(blo, bhi) })
 		if now := p.Now(); now > start {
-			ex.Node().Observe(p, trace.FeatBlock, start, now, fmt.Sprintf("fb:%s.c%d", name, c))
+			ex.Node().Observe(p, trace.FeatBlock, start, now, fbNotes[c])
 		}
 	}
 	if !sparse.Enabled() {
@@ -158,7 +159,7 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 				clo, chi := vec.PartitionRange(phi-plo, C, c)
 				produce(c, plo+clo, plo+chi)
 				ce := sparse.EncodeCopy(local[plo+clo:plo+chi], nil)
-				sender.Send(execs[j], rsTag(name, c), ce.WireBytes(),
+				sender.Send(execs[j], rsTags[c], ce.WireBytes(),
 					engine.Block{From: self, To: j, Bytes: ce.WireBytes(), Payload: ce})
 			}
 		}
@@ -178,7 +179,7 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 			for c := 0; c < C; c++ {
 				clo, chi := vec.PartitionRange(phi-plo, C, c)
 				ce := pe.Slice(clo, chi)
-				sender.Send(execs[j], rsTag(name, c), ce.WireBytes(),
+				sender.Send(execs[j], rsTags[c], ce.WireBytes(),
 					engine.Block{From: self, To: j, Bytes: ce.WireBytes(), Payload: ce})
 			}
 		}
@@ -191,7 +192,7 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 		produce(c, lo+colo, lo+cohi)
 	}
 	own := append([]float64(nil), local[lo:hi]...)
-	foldAndGather(p, ex, execs, self, name, local, nil, true, C, sender, own, nil, !sparse.Enabled())
+	foldAndGather(p, ex, execs, self, name, rsTags, local, nil, true, C, sender, own, nil, !sparse.Enabled())
 }
 
 // RouteOrder returns the order in which executor self visits its k−1 peers

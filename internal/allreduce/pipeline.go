@@ -1,8 +1,8 @@
 package allreduce
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"mllibstar/internal/des"
@@ -43,8 +43,17 @@ func Enabled() bool { return pipeOn.Load() }
 // Chunks returns the configured chunk count.
 func Chunks() int { return int(pipeChunks.Load()) }
 
-func rsTag(name string, c int) string { return fmt.Sprintf("xch:rs:%s.c%d", name, c) }
-func agTag(name string, c int) string { return fmt.Sprintf("xch:ag:%s.c%d", name, c) }
+// chunkTags returns the C per-chunk labels prefix+name+".c<c>" of one
+// collective call — the Reduce-Scatter ("xch:rs:") and AllGather
+// ("xch:ag:") mailbox tags and the FeatBlock ("fb:") span notes — built once
+// per call instead of once per message.
+func chunkTags(prefix, name string, C int) []string {
+	tags := make([]string, C)
+	for c := range tags {
+		tags[c] = prefix + name + ".c" + strconv.Itoa(c)
+	}
+	return tags
+}
 
 // pipelinedRSG is reduceScatterGather on a chunked schedule: each of the k
 // model partitions is cut into C contiguous chunks, every message of the
@@ -109,17 +118,18 @@ func pipelinedRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, na
 	// while chunk c+1 serializes. The sender process transmits them FIFO;
 	// the encodings are private copies, so they stay valid however long the
 	// queue runs behind.
+	rsTags := chunkTags("xch:rs:", name, C)
 	sender := ex.StartSender(p, name)
 	for c := 0; c < C; c++ {
 		for _, pe := range peers {
 			clo, chi := vec.PartitionRange(pe.plen, C, c)
 			ce := pe.enc.Slice(clo, chi)
-			sender.Send(execs[pe.j], rsTag(name, c), ce.WireBytes(),
+			sender.Send(execs[pe.j], rsTags[c], ce.WireBytes(),
 				engine.Block{From: self, To: pe.j, Bytes: ce.WireBytes(), Payload: ce})
 		}
 	}
 
-	foldAndGather(p, ex, execs, self, name, local, ref, average, C, sender, own, refOwn, streamAG)
+	foldAndGather(p, ex, execs, self, name, rsTags, local, ref, average, C, sender, own, refOwn, streamAG)
 }
 
 // foldAndGather is the back half of the chunked schedule, shared by the
@@ -127,10 +137,12 @@ func pipelinedRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, na
 // and overlapRSG, which produced it block by block while the Reduce-Scatter
 // sends were already draining): the chunk-ordered receive-and-fold loop, the
 // AllGather sends, and the AllGather receive loop. It closes the sender.
-func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, name string, local, ref []float64, average bool, C int, sender *engine.Sender, own, refOwn []float64, streamAG bool) {
+// rsTags are the call's Reduce-Scatter chunk tags.
+func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, name string, rsTags []string, local, ref []float64, average bool, C int, sender *engine.Sender, own, refOwn []float64, streamAG bool) {
 	k := len(execs)
 	dim := len(local)
 	lo, hi := vec.PartitionRange(dim, k, self)
+	agTags := chunkTags("xch:ag:", name, C)
 	refRange := func(lo, hi int) []float64 {
 		if ref == nil {
 			return nil
@@ -154,7 +166,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 	// occupies the NIC), while the arithmetic overlaps on the offload pool.
 	for c := 0; c < C; c++ {
 		colo, cohi := vec.PartitionRange(hi-lo, C, c)
-		tagc := rsTag(name, c)
+		tagc := rsTags[c]
 		idle := p.Now()
 		blocks := make([]engine.Block, 0, k-1)
 		for len(blocks) < k-1 {
@@ -193,7 +205,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 			// statically dense, so the folded chunk streams out right away.
 			ce := sparse.EncodeShared(ownChunk, refChunk)
 			for _, pe := range peers {
-				sender.Send(execs[pe.j], agTag(name, c), ce.WireBytes(),
+				sender.Send(execs[pe.j], agTags[c], ce.WireBytes(),
 					engine.Block{From: self, To: pe.j, Bytes: ce.WireBytes(), Payload: ce})
 			}
 			copy(local[lo+colo:lo+cohi], ownChunk)
@@ -208,7 +220,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 			colo, cohi := vec.PartitionRange(hi-lo, C, c)
 			ce := ownEnc.Slice(colo, cohi)
 			for _, pe := range peers {
-				sender.Send(execs[pe.j], agTag(name, c), ce.WireBytes(),
+				sender.Send(execs[pe.j], agTags[c], ce.WireBytes(),
 					engine.Block{From: self, To: pe.j, Bytes: ce.WireBytes(), Payload: ce})
 			}
 		}
@@ -219,7 +231,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 	// AllGather receive loop: pieces land in disjoint ranges of local, so
 	// decode order within a chunk is immaterial; charges replay arrivals.
 	for c := 0; c < C; c++ {
-		tagc := agTag(name, c)
+		tagc := agTags[c]
 		idle := p.Now()
 		blocks := make([]engine.Block, 0, k-1)
 		for len(blocks) < k-1 {

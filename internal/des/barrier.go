@@ -68,7 +68,7 @@ func (b *Barrier) Arrive(p *Proc) int {
 	}
 	b.waiting = append(b.waiting, p)
 	b.arriveAt = append(b.arriveAt, b.sim.now)
-	p.block(fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", b.name, gen, b.arrived, b.n))
+	p.block(blockReason{kind: blockBarrier, name: b.name, gen: gen, arrived: b.arrived, n: b.n})
 	return gen
 }
 
@@ -86,9 +86,6 @@ type Signal struct {
 func NewSignal(sim *Sim, name string) *Signal {
 	return &Signal{sim: sim, name: name}
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
 func (s *Signal) Fire() {
@@ -110,5 +107,5 @@ func (s *Signal) Await(p *Proc) {
 		return
 	}
 	s.waiting = append(s.waiting, p)
-	p.block(fmt.Sprintf("signal %q", s.name))
+	p.block(blockReason{kind: blockSignal, name: s.name})
 }

@@ -1,13 +1,21 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // A Sim owns a virtual clock and a set of processes. Each process is a
-// goroutine, but the kernel enforces that exactly one process is runnable at
-// any moment: a process runs until it blocks on a simulation primitive
-// (Wait, Queue.Get, Resource.Acquire, ...), at which point control returns
-// to the kernel, which advances the clock to the next scheduled event and
-// resumes the corresponding process. Events at equal times fire in the order
-// they were scheduled, so a simulation is fully deterministic: the same
-// program and seeds produce the same event trace, clock values, and results.
+// goroutine, but the kernel enforces that exactly one goroutine — the one
+// calling Run, or one process — runs at any moment. A process runs until it
+// blocks on a simulation primitive (Wait, Queue.Get, Resource.Acquire, ...).
+// The blocking process then dispatches the next event itself: it pops the
+// earliest live wake-up from the event heap, advances the clock, and hands
+// the baton straight to the woken process. If that wake-up is its own, it
+// simply returns, with no goroutine switch at all. Control goes back to the
+// goroutine running Run only when the heap drains or a process exits; Run
+// re-raises a process's panic there, dispatches again, and unwinds the
+// processes still blocked once nothing is scheduled.
+//
+// Events at equal times fire in the order they were scheduled, so a
+// simulation is fully deterministic: the same program and seeds produce the
+// same event trace, clock values, and results, whichever goroutine happens
+// to dispatch each event.
 //
 // The kernel is the substrate for the simulated cluster (package simnet),
 // the Spark-like execution engine (package engine), and the parameter-server
@@ -15,7 +23,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -31,9 +38,9 @@ type killedPanic struct{}
 // Run, to spawn the initial processes) or from within process functions.
 type Sim struct {
 	now    float64
-	events eventHeap
+	events []event // binary min-heap ordered by (at, seq)
 	seq    uint64
-	yield  chan struct{} // signalled by a process when it blocks or exits
+	yield  chan struct{} // signalled to Run when the heap drains or a process exits
 	procs  []*Proc
 	nextID int
 	closed bool
@@ -60,7 +67,7 @@ func (s *Sim) Now() float64 { return s.now }
 // wake-ups scheduled (a queue item and a GetUntil deadline racing each
 // other), only the first of which may resume it — the kernel bumps the
 // generation on every delivery, turning the losers into stale events that
-// Run discards.
+// the dispatcher discards.
 type event struct {
 	at   float64
 	seq  uint64
@@ -68,26 +75,86 @@ type event struct {
 	wake uint64
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// before is the heap order: time, then scheduling sequence.
+func (e *event) before(o *event) bool {
 	//mlstar:nolint floateq -- exact compare intentional: equal timestamps fall through to the seq tie-break
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
 func (s *Sim) schedule(at float64, p *Proc) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling event in the past: %g < %g", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, proc: p, wake: p.wake})
-	p.pending++
+	h := append(s.events, event{at: at, seq: s.seq, proc: p, wake: p.wake})
+	// Sift the new event up.
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	s.events = h
+}
+
+// popEvent removes and returns the earliest event. The heap must be
+// non-empty.
+func (s *Sim) popEvent() event {
+	h := s.events
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	// Sift the moved event down.
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.events = h
+	return top
+}
+
+// next pops events until one is live, advances the clock to it and marks its
+// process resumed. It returns nil when the heap is empty. It runs on
+// whichever goroutine holds the baton: Run, or a process that is blocking.
+func (s *Sim) next() *Proc {
+	for len(s.events) > 0 {
+		ev := s.popEvent()
+		p := ev.proc
+		if p.done || ev.wake != p.wake {
+			// Finished process, or a wake-up that lost its race (the
+			// process was already resumed by a newer event and has moved
+			// on — e.g. a GetUntil deadline overtaken by a queue item).
+			continue
+		}
+		if ev.at < s.now {
+			panic("des: clock moved backwards")
+		}
+		s.now = ev.at
+		p.wake++
+		p.blocked.kind = notBlocked
+		return p
+	}
+	return nil
 }
 
 // Proc is a simulation process. A Proc handle is passed to the process
@@ -99,9 +166,46 @@ type Proc struct {
 	id      int
 	resume  chan bool // true = run, false = killed
 	done    bool
-	blocked string // description of the primitive the process is blocked on
-	pending int    // number of scheduled wake-ups not yet delivered
-	wake    uint64 // wake generation: bumped on every delivered resume
+	blocked blockReason // the primitive the process is blocked on
+	wake    uint64      // wake generation: bumped on every delivered resume
+}
+
+// blockKind names the primitive a process is blocked on.
+type blockKind uint8
+
+const (
+	notBlocked blockKind = iota
+	blockWait
+	blockQueue
+	blockQueueUntil
+	blockBarrier
+	blockSignal
+)
+
+// blockReason is what a process is blocked on, kept as plain values so
+// blocking formats nothing; Sim.Blocked renders it on demand.
+type blockReason struct {
+	kind         blockKind
+	name         string  // queue, barrier or signal name
+	at           float64 // wait target or receive deadline
+	gen, arrived int     // barrier generation and arrivals so far
+	n            int     // barrier participants
+}
+
+func (r *blockReason) String() string {
+	switch r.kind {
+	case blockWait:
+		return fmt.Sprintf("wait until t=%.6f", r.at)
+	case blockQueue:
+		return fmt.Sprintf("recv on queue %q", r.name)
+	case blockQueueUntil:
+		return fmt.Sprintf("recv on queue %q until t=%.6f", r.name, r.at)
+	case blockBarrier:
+		return fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", r.name, r.gen, r.arrived, r.n)
+	case blockSignal:
+		return fmt.Sprintf("signal %q", r.name)
+	}
+	return ""
 }
 
 // Name returns the process name given at Spawn time.
@@ -135,8 +239,9 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 			p.done = true
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
-					// Real bug in a process function: capture it so the
-					// kernel can re-raise on the goroutine running Run.
+					// Real bug in a process function, or a kernel
+					// invariant broken while this process held the baton:
+					// capture it so Run can re-raise it on its goroutine.
 					s.fault = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
 				}
 			}
@@ -151,11 +256,10 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// switchTo hands control to p and waits until it blocks or exits. A panic
-// that escaped the process function is re-raised here, on the goroutine that
-// called Run, wrapped with the process name and stack.
+// switchTo hands control to p and waits until the heap drains or a process
+// exits. A panic that escaped a process function is re-raised here, on the
+// goroutine that called Run, wrapped with the process name and stack.
 func (s *Sim) switchTo(p *Proc) {
-	p.blocked = ""
 	p.resume <- true
 	<-s.yield
 	if f := s.fault; f != nil {
@@ -164,11 +268,22 @@ func (s *Sim) switchTo(p *Proc) {
 	}
 }
 
-// block returns control to the kernel and waits to be resumed. reason is a
-// human-readable description used in deadlock reports.
-func (p *Proc) block(reason string) {
-	p.blocked = reason
-	p.sim.yield <- struct{}{}
+// block parks p, whose wake-up is already scheduled or registered with a
+// primitive, and dispatches the next event in its place: it resumes the
+// woken process directly, or returns at once when that process is p itself.
+// With nothing left to dispatch it hands control back to Run. why is kept
+// for deadlock reports.
+func (p *Proc) block(why blockReason) {
+	p.blocked = why
+	s := p.sim
+	switch q := s.next(); q {
+	case p:
+		return
+	case nil:
+		s.yield <- struct{}{}
+	default:
+		q.resume <- true
+	}
 	if !<-p.resume {
 		panic(killedPanic{})
 	}
@@ -181,21 +296,8 @@ func (s *Sim) Run() float64 {
 	if s.closed {
 		panic("des: Run on a closed simulation")
 	}
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		ev.proc.pending--
-		if ev.proc.done || ev.wake != ev.proc.wake {
-			// Finished process, or a wake-up that lost its race (the
-			// process was already resumed by a newer event and has moved
-			// on — e.g. a GetUntil deadline overtaken by a queue item).
-			continue
-		}
-		if ev.at < s.now {
-			panic("des: clock moved backwards")
-		}
-		s.now = ev.at
-		ev.proc.wake++
-		s.switchTo(ev.proc)
+	for p := s.next(); p != nil; p = s.next() {
+		s.switchTo(p)
 	}
 	s.shutdown()
 	return s.now
@@ -207,8 +309,8 @@ func (s *Sim) Run() float64 {
 func (s *Sim) Blocked() []string {
 	var out []string
 	for _, p := range s.procs {
-		if !p.done && p.blocked != "" {
-			out = append(out, fmt.Sprintf("%s: %s", p.name, p.blocked))
+		if !p.done && p.blocked.kind != notBlocked {
+			out = append(out, p.name+": "+p.blocked.String())
 		}
 	}
 	sort.Strings(out)
@@ -246,7 +348,7 @@ func (p *Proc) WaitUntil(t float64) {
 		t = p.sim.now
 	}
 	p.sim.schedule(t, p)
-	p.block(fmt.Sprintf("wait until t=%.6f", t))
+	p.block(blockReason{kind: blockWait, at: t})
 }
 
 // Yield lets every other process scheduled at the current instant run before

@@ -9,14 +9,46 @@ import "fmt"
 type Queue[T any] struct {
 	sim     *Sim
 	name    string
-	items   []T
-	waiters []*getWaiter[T]
+	items   fifo[T]
+	waiters fifo[*getWaiter[T]]
+	free    []*getWaiter[T] // getter records ready for reuse
 }
 
 type getWaiter[T any] struct {
 	proc  *Proc
 	value T
 	ready bool
+}
+
+// fifo is a slice-backed FIFO that keeps its backing array: pop advances a
+// head index, the array rewinds once empty and compacts instead of growing
+// when full, so a FIFO that keeps draining stops allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes the oldest element; the FIFO must be non-empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
 
 // NewQueue returns an empty mailbox bound to sim. The name appears in
@@ -27,15 +59,14 @@ func NewQueue[T any](sim *Sim, name string) *Queue[T] {
 
 // Len returns the number of values currently buffered (not counting values
 // already assigned to blocked getters).
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v to the queue. If a process is blocked on Get, the value is
 // assigned to the longest-waiting getter, which is woken at the current
 // virtual time. Put may be called from any process or before Run.
 func (q *Queue[T]) Put(v T) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
 		if w.proc.done {
 			continue
 		}
@@ -44,24 +75,21 @@ func (q *Queue[T]) Put(v T) {
 		q.sim.schedule(q.sim.now, w.proc)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get removes and returns the oldest value in the queue, blocking p until
 // one is available. Retrieval itself consumes no virtual time.
 func (q *Queue[T]) Get(p *Proc) T {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
+	if v, ok := q.TryGet(); ok {
 		return v
 	}
-	w := &getWaiter[T]{proc: p}
-	q.waiters = append(q.waiters, w)
-	p.block(fmt.Sprintf("recv on queue %q", q.name))
+	w := q.wait(p)
+	p.block(blockReason{kind: blockQueue, name: q.name})
 	if !w.ready {
 		panic(fmt.Sprintf("des: process %s woken on queue %q without a value", p.name, q.name))
 	}
-	return w.value
+	return q.release(w)
 }
 
 // GetUntil is Get with a virtual-time deadline: it removes and returns the
@@ -82,34 +110,59 @@ func (q *Queue[T]) GetUntil(p *Proc, deadline float64) (T, bool) {
 	if deadline <= q.sim.now {
 		return zero, false
 	}
-	w := &getWaiter[T]{proc: p}
-	q.waiters = append(q.waiters, w)
+	w := q.wait(p)
 	q.sim.schedule(deadline, p)
-	p.block(fmt.Sprintf("recv on queue %q until t=%.6f", q.name, deadline))
+	p.block(blockReason{kind: blockQueueUntil, name: q.name, at: deadline})
 	if w.ready {
-		return w.value, true
+		return q.release(w), true
 	}
 	// Woken by the deadline: withdraw the registration so a later Put does
 	// not assign a value to a getter that has given up.
-	for i, x := range q.waiters {
+	ws := q.waiters.buf[q.waiters.head:]
+	for i, x := range ws {
 		if x == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			copy(ws[i:], ws[i+1:])
+			ws[len(ws)-1] = nil
+			q.waiters.buf = q.waiters.buf[:len(q.waiters.buf)-1]
 			break
 		}
 	}
+	q.release(w)
 	return zero, false
+}
+
+// wait registers p as the newest blocked getter, reusing a getter record
+// when one is free.
+func (q *Queue[T]) wait(p *Proc) *getWaiter[T] {
+	var w *getWaiter[T]
+	if n := len(q.free); n > 0 {
+		w = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		w = new(getWaiter[T])
+	}
+	w.proc = p
+	q.waiters.push(w)
+	return w
+}
+
+// release recycles a getter record no Put can reach any more and returns
+// the value it carried.
+func (q *Queue[T]) release(w *getWaiter[T]) T {
+	v := w.value
+	*w = getWaiter[T]{}
+	q.free = append(q.free, w)
+	return v
 }
 
 // TryGet removes and returns the oldest value without blocking. The second
 // result reports whether a value was available.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // GetN blocks until n values have been received and returns them in arrival

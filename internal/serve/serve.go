@@ -54,6 +54,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
@@ -101,8 +102,6 @@ const (
 	installAckTag = "serve.ack.install"
 	swapAckTag    = "serve.ack.swap"
 )
-
-func shardTag(i int) string { return fmt.Sprintf("serve.shard%d", i) }
 
 // Wire sizes, following the byte-accounting rules in ARCHITECTURE.md: sparse
 // features cost 12 bytes per nonzero (int32 index + float64 value), partials
@@ -163,9 +162,10 @@ type ackMsg struct{ epoch int64 }
 // must be called from a process running on the router node — the controller
 // is co-located with the router, like ps servers are with workers.
 type Deployment struct {
-	cfg   Config
-	net   *simnet.Network
-	names Names
+	cfg       Config
+	net       *simnet.Network
+	names     Names
+	shardTags []string // "serve.shard<s>": shard s's mailbox tag, built once
 
 	epoch  int64 // controller-side epoch: what Swap has activated so far
 	staged bool  // an Install is waiting for its Swap
@@ -196,8 +196,9 @@ func New(sim *des.Sim, net *simnet.Network, names Names, cfg Config, weights []f
 	if len(weights) != cfg.Dim {
 		return nil, fmt.Errorf("serve: %d weights for dim %d", len(weights), cfg.Dim)
 	}
-	d := &Deployment{cfg: cfg, net: net, names: names}
+	d := &Deployment{cfg: cfg, net: net, names: names, shardTags: make([]string, len(names.Shards))}
 	for s := range names.Shards {
+		d.shardTags[s] = "serve.shard" + strconv.Itoa(s)
 		lo, hi := d.shardRange(s)
 		sh := &shard{d: d, index: s, node: net.Node(names.Shards[s]), lo: lo}
 		sh.slots[0] = append(make([]float64, 0, hi-lo), weights[lo:hi]...)
@@ -240,7 +241,7 @@ func (d *Deployment) Install(p *des.Proc, weights []float64) int64 {
 	for s := range d.names.Shards {
 		lo, hi := d.shardRange(s)
 		vals := append([]float64(nil), weights[lo:hi]...)
-		node.Send(p, d.names.Shards[s], shardTag(s),
+		node.Send(p, d.names.Shards[s], d.shardTags[s],
 			headerBytes+8*float64(hi-lo), installReq{epoch: next, vals: vals})
 	}
 	for range d.names.Shards {
@@ -391,7 +392,7 @@ func (d *Deployment) scoreBatch(p *des.Proc, node *simnet.Node, batch []scoreReq
 			continue
 		}
 		bytes := headerBytes + 4*float64(len(subs[s].rows)) + 12*float64(subs[s].nnz)
-		node.Send(p, d.names.Shards[s], shardTag(s), bytes,
+		node.Send(p, d.names.Shards[s], d.shardTags[s], bytes,
 			shardBatch{epoch: epoch, rowIDs: subs[s].rowIDs, rows: subs[s].rows})
 		sent++
 	}
@@ -423,7 +424,7 @@ func (d *Deployment) scoreBatch(p *des.Proc, node *simnet.Node, batch []scoreReq
 // sub-batches against the slot their epoch maps to.
 func (sh *shard) run(p *des.Proc) {
 	for {
-		msg := sh.node.Recv(p, shardTag(sh.index))
+		msg := sh.node.Recv(p, sh.d.shardTags[sh.index])
 		switch req := msg.Payload.(type) {
 		case installReq:
 			sh.node.ComputeKind(p, float64(len(req.vals)), trace.Update, "install")

@@ -23,7 +23,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
@@ -322,19 +321,6 @@ func (nd *Node) RecvN(p *des.Proc, tag string, count int) []*Message {
 	for len(out) < count {
 		out = append(out, nd.Recv(p, tag))
 	}
-	return out
-}
-
-// TrafficByNode returns "name sent/recv" accounting lines, sorted by name,
-// for debugging and experiment reports.
-func (n *Network) TrafficByNode() []string {
-	var out []string
-	for _, name := range n.order {
-		nd := n.nodes[name]
-		out = append(out, fmt.Sprintf("%s sent=%.0fB(%d msgs) recv=%.0fB(%d msgs)",
-			name, nd.bytesSent, nd.msgsSent, nd.bytesRecv, nd.msgsRecv))
-	}
-	sort.Strings(out)
 	return out
 }
 
