@@ -44,9 +44,9 @@ bench-overlap: ## overlap=off/on pair only; asserts the sim_speedup_overlap tabl
 	@rm -f BENCH_overlap.json
 	@echo "bench-overlap: sim_speedup_overlap recorded"
 
-bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR and des zero-alloc guards + des layer microbenchmarks
+bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR and des zero-alloc guards + des layer and fork/join microbenchmarks
 	$(GO) test -bench 'BenchmarkWallClock' -benchtime=1x -run '^$$' -benchmem ./internal/bench
-	$(GO) test -bench 'BenchmarkWait|BenchmarkQueueHandoff|BenchmarkGetUntil' -benchtime=1x -run 'TestDESZeroAllocs' -benchmem -v ./internal/des
+	$(GO) test -bench 'BenchmarkWait|BenchmarkQueueHandoff|BenchmarkGetUntil|BenchmarkForkJoin' -benchtime=1x -run 'TestDESZeroAllocs' -benchmem -v ./internal/des
 	$(GO) test -run 'TestParallelOffload|TestKernelAllocReduction|TestSparse|TestObs|TestPipeline|TestCSRBatchZeroAllocs|TestCSRKernel|TestCritPath|TestWhatIf' -v ./internal/bench
 
 obs: ## replay the committed sample event logs and diff against the golden reports

@@ -1,21 +1,22 @@
+//go:build go1.23
+
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // A Sim owns a virtual clock and a set of processes. Each process is a
-// goroutine, but the kernel enforces that exactly one goroutine — the one
-// calling Run, or one process — runs at any moment. A process runs until it
-// blocks on a simulation primitive (Wait, Queue.Get, Resource.Acquire, ...).
-// The blocking process then dispatches the next event itself: it pops the
-// earliest live wake-up from the event heap, advances the clock, and hands
-// the baton straight to the woken process. If that wake-up is its own, it
-// simply returns, with no goroutine switch at all. Control goes back to the
-// goroutine running Run only when the heap drains or a process exits; Run
-// re-raises a process's panic there, dispatches again, and unwinds the
-// processes still blocked once nothing is scheduled.
+// runtime coroutine (iter.Pull), so exactly one process, or Run itself,
+// executes at any moment, and no switch between them goes through the Go
+// scheduler. A process runs until it blocks on a simulation primitive (Wait,
+// Queue.Get, Resource.Acquire, ...). The blocking process pops the earliest
+// live wake-up from the event heap and advances the clock. If that wake-up
+// is its own, it simply returns, with no switch at all. Otherwise it yields
+// to Run, the only code that ever resumes a process, which resumes the woken
+// one. Run also re-raises a process's panic, and on every exit (the heap
+// drained, a re-raised panic, a process calling runtime.Goexit) it unwinds
+// the processes still blocked.
 //
 // Events at equal times fire in the order they were scheduled, so a
 // simulation is fully deterministic: the same program and seeds produce the
-// same event trace, clock values, and results, whichever goroutine happens
-// to dispatch each event.
+// same event trace, clock values, and results.
 //
 // The kernel is the substrate for the simulated cluster (package simnet),
 // the Spark-like execution engine (package engine), and the parameter-server
@@ -24,6 +25,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -37,14 +39,14 @@ type killedPanic struct{}
 // use; all interaction must happen from the goroutine that calls Run (before
 // Run, to spawn the initial processes) or from within process functions.
 type Sim struct {
-	now    float64
-	events []event // binary min-heap ordered by (at, seq)
-	seq    uint64
-	yield  chan struct{} // signalled to Run when the heap drains or a process exits
-	procs  []*Proc
-	nextID int
-	closed bool
-	fault  *procPanic // panic captured from a process, re-raised by the kernel
+	now     float64
+	events  []event // binary min-heap ordered by (at, seq)
+	seq     uint64
+	handoff *Proc // process a blocking process woke, for Run to resume next
+	procs   []*Proc
+	nextID  int
+	closed  bool
+	fault   *procPanic // panic captured from a process, re-raised by Run
 }
 
 // procPanic records a panic that escaped a process function.
@@ -56,7 +58,7 @@ type procPanic struct {
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{yield: make(chan struct{})}
+	return &Sim{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -134,8 +136,8 @@ func (s *Sim) popEvent() event {
 }
 
 // next pops events until one is live, advances the clock to it and marks its
-// process resumed. It returns nil when the heap is empty. It runs on
-// whichever goroutine holds the baton: Run, or a process that is blocking.
+// process resumed. It returns nil when the heap is empty. It runs in Run or
+// in a process that is blocking.
 func (s *Sim) next() *Proc {
 	for len(s.events) > 0 {
 		ev := s.popEvent()
@@ -164,7 +166,9 @@ type Proc struct {
 	sim     *Sim
 	name    string
 	id      int
-	resume  chan bool // true = run, false = killed
+	next    func() (struct{}, bool) // resumes the coroutine; called only by Run
+	stop    func()                  // makes the pending yield return false
+	yield   func(struct{}) bool     // the park point: false = killed
 	done    bool
 	blocked blockReason // the primitive the process is blocked on
 	wake    uint64      // wake generation: bumped on every delivered resume
@@ -230,76 +234,68 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	if s.closed {
 		panic("des: Spawn on a closed simulation")
 	}
-	p := &Proc{sim: s, name: name, id: s.nextID, resume: make(chan bool)}
+	p := &Proc{sim: s, name: name, id: s.nextID}
 	s.nextID++
 	s.procs = append(s.procs, p)
-	//mlstar:nolint determinism -- the kernel's own process launch: the goroutine runs only when the scheduler hands it the baton
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
 					// Real bug in a process function, or a kernel
-					// invariant broken while this process held the baton:
-					// capture it so Run can re-raise it on its goroutine.
+					// invariant broken while this process ran: capture it
+					// so Run can re-raise it.
 					s.fault = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
 				}
 			}
-			s.yield <- struct{}{}
 		}()
-		if !<-p.resume {
-			panic(killedPanic{})
-		}
 		fn(p)
-	}()
+	})
 	s.schedule(s.now, p)
 	return p
 }
 
-// switchTo hands control to p and waits until the heap drains or a process
-// exits. A panic that escaped a process function is re-raised here, on the
-// goroutine that called Run, wrapped with the process name and stack.
-func (s *Sim) switchTo(p *Proc) {
-	p.resume <- true
-	<-s.yield
-	if f := s.fault; f != nil {
-		s.fault = nil
-		panic(fmt.Sprintf("des: process %q panicked: %v\n%s", f.proc, f.value, f.stack))
-	}
-}
-
 // block parks p, whose wake-up is already scheduled or registered with a
-// primitive, and dispatches the next event in its place: it resumes the
-// woken process directly, or returns at once when that process is p itself.
-// With nothing left to dispatch it hands control back to Run. why is kept
-// for deadlock reports.
+// primitive, and dispatches the next event in its place: it returns at once
+// when the woken process is p itself, and otherwise yields to Run, which
+// resumes the woken process, or finishes when nothing is left to dispatch.
+// why is kept for deadlock reports.
 func (p *Proc) block(why blockReason) {
 	p.blocked = why
 	s := p.sim
-	switch q := s.next(); q {
-	case p:
+	q := s.next()
+	if q == p {
 		return
-	case nil:
-		s.yield <- struct{}{}
-	default:
-		q.resume <- true
 	}
-	if !<-p.resume {
+	s.handoff = q
+	if !p.yield(struct{}{}) {
 		panic(killedPanic{})
 	}
 }
 
-// Run executes the simulation until no scheduled events remain, then shuts
-// down any processes still blocked (e.g. servers waiting on request queues)
-// and returns the final virtual time.
+// Run executes the simulation until no scheduled events remain and returns
+// the final virtual time. A panic that escaped a process function is
+// re-raised here, wrapped with the process name and stack; a process calling
+// runtime.Goexit ends the goroutine calling Run. On every exit Run shuts down
+// the processes still blocked (e.g. servers waiting on request queues).
 func (s *Sim) Run() float64 {
 	if s.closed {
 		panic("des: Run on a closed simulation")
 	}
-	for p := s.next(); p != nil; p = s.next() {
-		s.switchTo(p)
+	defer s.shutdown()
+	for p := s.next(); p != nil; {
+		p.next()
+		if f := s.fault; f != nil {
+			s.fault = nil
+			panic(fmt.Sprintf("des: process %q panicked: %v\n%s", f.proc, f.value, f.stack))
+		}
+		// The process yielded with the next process it woke, or with nil
+		// because the heap drained, or it returned.
+		if p, s.handoff = s.handoff, nil; p == nil {
+			p = s.next()
+		}
 	}
-	s.shutdown()
 	return s.now
 }
 
@@ -317,7 +313,7 @@ func (s *Sim) Blocked() []string {
 	return out
 }
 
-// shutdown unwinds every process still blocked so their goroutines exit.
+// shutdown unwinds every process still blocked so their coroutines exit.
 func (s *Sim) shutdown() {
 	if s.closed {
 		return
@@ -325,8 +321,7 @@ func (s *Sim) shutdown() {
 	s.closed = true
 	for _, p := range s.procs {
 		if !p.done {
-			p.resume <- false
-			<-s.yield
+			p.stop()
 		}
 	}
 }

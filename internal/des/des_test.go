@@ -310,7 +310,7 @@ func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 
 func TestRunShutsDownBlockedProcesses(t *testing.T) {
 	// A process left blocked on a queue must be unwound by Run so its
-	// goroutine exits; reaching the end of Run without hanging is the test.
+	// coroutine exits; reaching the end of Run without hanging is the test.
 	s := New()
 	q := NewQueue[int](s, "never")
 	s.Spawn("stuck", func(p *Proc) { q.Get(p); t.Error("stuck process resumed with a value") })

@@ -42,3 +42,19 @@ func TestForkJoinAfterChildAlreadyDone(t *testing.T) {
 		t.Errorf("join returned at %g, want 10", joinAt)
 	}
 }
+
+// BenchmarkForkJoin measures one Fork of a child that waits once, and the
+// join: a Spawn, with its coroutine set-up, plus the handoffs between parent
+// and child. Every pipelined collective forks one sender per executor per
+// call.
+func BenchmarkForkJoin(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	s.Spawn("parent", func(p *Proc) {
+		for n := 0; n < b.N; n++ {
+			Fork(p, "child", func(c *Proc) { c.Wait(1) }).Wait(p)
+		}
+	})
+	b.ResetTimer()
+	s.Run()
+}

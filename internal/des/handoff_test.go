@@ -61,8 +61,8 @@ func runPanic(t *testing.T, s *Sim) (msg string) {
 	return ""
 }
 
-// TestFaultWhileAnotherProcessDispatches: the faulting process was resumed
-// directly by another process's block, not by Run; the panic must still
+// TestFaultWhileAnotherProcessDispatches: the faulting process was woken by
+// another process's block, which popped its event; the panic must still
 // surface from Run, naming the process that panicked.
 func TestFaultWhileAnotherProcessDispatches(t *testing.T) {
 	s := New()
@@ -72,7 +72,7 @@ func TestFaultWhileAnotherProcessDispatches(t *testing.T) {
 		}
 	})
 	s.Spawn("faulty", func(p *Proc) {
-		p.Wait(1.5) // resumed by ticker's block at t=2
+		p.Wait(1.5) // woken by ticker's block at t=2
 		panic("boom")
 	})
 	msg := runPanic(t, s)
@@ -81,9 +81,9 @@ func TestFaultWhileAnotherProcessDispatches(t *testing.T) {
 	}
 }
 
-// TestKernelInvariantOnProcessGoroutine: a kernel invariant broken on a
-// process goroutine (an event scheduled in the past) re-raises from Run with
-// the process named.
+// TestKernelInvariantOnProcessGoroutine: a kernel invariant broken inside a
+// process (an event scheduled in the past) re-raises from Run with the
+// process named.
 func TestKernelInvariantOnProcessGoroutine(t *testing.T) {
 	s := New()
 	s.Spawn("other", func(p *Proc) { p.Wait(10) })
@@ -104,11 +104,9 @@ func firstLine(s string) string {
 	return s
 }
 
-// TestRunUnwindsEveryBlockedProcess: after Run no goroutine of the
-// simulation is left, whatever primitive its process was blocked on.
-func TestRunUnwindsEveryBlockedProcess(t *testing.T) {
-	before := runtime.NumGoroutine()
-	s := New()
+// spawnBlocked spawns 8 processes blocked on each primitive, none of which
+// is ever released.
+func spawnBlocked(s *Sim) {
 	q := NewQueue[int](s, "never")
 	bar := NewBarrier(s, "bsp", 100)
 	sig := NewSignal(s, "never")
@@ -122,9 +120,13 @@ func TestRunUnwindsEveryBlockedProcess(t *testing.T) {
 		s.Spawn(fmt.Sprintf("sig%d", i), func(p *Proc) { sig.Await(p) })
 		s.Spawn(fmt.Sprintf("wait%d", i), func(p *Proc) { p.Wait(float64(i)) })
 	}
-	s.Run()
-	// An unwound goroutine signals Run just before it returns, so give the
-	// last few a moment to finish exiting.
+}
+
+// checkGoroutines fails t if more goroutines are alive than before. A
+// goroutine that signalled its end may still be exiting, so it gives the
+// count a moment to settle.
+func checkGoroutines(t *testing.T, before int) {
+	t.Helper()
 	after := runtime.NumGoroutine()
 	for i := 0; i < 200 && after > before; i++ {
 		time.Sleep(time.Millisecond)
@@ -133,6 +135,62 @@ func TestRunUnwindsEveryBlockedProcess(t *testing.T) {
 	if after > before {
 		t.Errorf("%d goroutines before Run, %d after: blocked processes were not unwound", before, after)
 	}
+}
+
+// TestRunUnwindsEveryBlockedProcess: after Run no coroutine of the
+// simulation is left, whatever primitive its process was blocked on.
+func TestRunUnwindsEveryBlockedProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	spawnBlocked(s)
+	s.Run()
+	checkGoroutines(t, before)
+}
+
+// TestRunUnwindsAfterProcessPanic: a process panic re-raised from Run still
+// unwinds every other blocked process.
+func TestRunUnwindsAfterProcessPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	spawnBlocked(s)
+	s.Spawn("faulty", func(p *Proc) {
+		p.Wait(0.5)
+		panic("boom")
+	})
+	if msg := runPanic(t, s); !strings.HasPrefix(msg, `des: process "faulty" panicked: boom`) {
+		t.Errorf("panic = %q, want it to name the faulty process", firstLine(msg))
+	}
+	checkGoroutines(t, before)
+}
+
+// TestRunUnwindsAfterProcessGoexit: a process calling runtime.Goexit (as
+// t.FailNow does) ends the goroutine calling Run, and Run still unwinds
+// every other blocked process on the way out.
+func TestRunUnwindsAfterProcessGoexit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	spawnBlocked(s)
+	var goexitDeferred bool
+	s.Spawn("quitter", func(p *Proc) {
+		defer func() { goexitDeferred = true }()
+		p.Wait(0.5)
+		runtime.Goexit()
+	})
+	returned := false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		s.Run()
+		returned = true
+	}()
+	<-ended
+	if returned {
+		t.Error("Run returned normally after a process called runtime.Goexit")
+	}
+	if !goexitDeferred {
+		t.Error("the exiting process's deferred calls did not run")
+	}
+	checkGoroutines(t, before)
 }
 
 // TestDESZeroAllocs: in steady state a Wait, a Queue Put→Get handoff and an
@@ -151,7 +209,7 @@ func TestDESZeroAllocs(t *testing.T) {
 		}
 	}
 	// A partner that waits in lockstep, half a period out of phase, so
-	// every block hands the baton to another process.
+	// every block switches to another process.
 	partner := func(s *Sim) {
 		s.Spawn("partner", func(p *Proc) {
 			p.Wait(0.5)
@@ -188,7 +246,7 @@ func TestDESZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkWait measures one timed wait; two processes alternate, so each
-// wait hands the baton to the other process.
+// wait switches to the other process.
 func BenchmarkWait(b *testing.B) {
 	b.ReportAllocs()
 	s := New()

@@ -104,7 +104,6 @@ type Executor struct {
 	name     string
 	node     *simnet.Node
 	blocks   map[blockID]any
-	tasksRun int
 	slowdown float64 // per-task straggler multiplier set by the scheduler (0 = none)
 	failed   bool    // out of service (see Cluster.FailExecutor)
 
@@ -126,9 +125,6 @@ func (ex *Executor) Node() *simnet.Node { return ex.node }
 func (ex *Executor) PeerSpec(name string) simnet.NodeSpec {
 	return ex.cluster.Net.Node(name).Spec()
 }
-
-// TasksRun returns how many tasks this executor has completed.
-func (ex *Executor) TasksRun() int { return ex.tasksRun }
 
 // Charge blocks the executor for work units of computation on the simulated
 // clock (recorded as a Compute span). Task functions call this at the site
@@ -213,7 +209,6 @@ func (ex *Executor) serve(p *des.Proc) {
 		tm := msg.Payload.(*taskMsg)
 		ex.curStage, ex.curTask, ex.curAttempt = tm.stage, tm.index, tm.attempt
 		res, rb := tm.run(p, ex)
-		ex.tasksRun++
 		ex.node.Send(p, ex.cluster.Driver, tm.replyTag, tm.envelope+rb,
 			&taskResult{index: tm.index, attempt: tm.attempt, result: res})
 	}

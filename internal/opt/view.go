@@ -138,20 +138,3 @@ func MGDStepAccumView(obj glm.Objective, w []float64, batch data.View, eta float
 	}
 	return work
 }
-
-// LocalMGDEpochAccumView is LocalMGDEpochAccum over a view.
-func LocalMGDEpochAccumView(obj glm.Objective, w []float64, v data.View, batchSize int, sched Schedule, stepBase int, accum *SparseAccum) (work, steps int) {
-	n := v.NumRows()
-	if batchSize <= 0 {
-		batchSize = n
-	}
-	for lo := 0; lo < n; lo += batchSize {
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
-		}
-		work += MGDStepAccumView(obj, w, v.Sub(lo, hi), sched(stepBase+steps), accum)
-		steps++
-	}
-	return work, steps
-}

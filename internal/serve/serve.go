@@ -357,32 +357,56 @@ func (d *Deployment) scoreBatch(p *des.Proc, node *simnet.Node, batch []scoreReq
 	type sub struct {
 		rowIDs []int32
 		rows   []glm.Example
+		pieces int // (request, shard) pieces routed to this shard
 		nnz    int
+		at     int // next free slot of the shard's region of the backing
 	}
 	subs := make([]sub, k)
-	totalNNZ := 0
-	for r, req := range batch {
-		totalNNZ += len(req.ind)
-		pos := 0
-		for s := 0; s < k && pos < len(req.ind); s++ {
-			_, hi := d.shardRange(s)
-			start := pos
-			for pos < len(req.ind) && int(req.ind[pos]) < hi {
-				pos++
+	// eachPiece calls f for every nonempty (request, shard) piece of the
+	// batch, in request order.
+	eachPiece := func(f func(r, s, start, end int)) {
+		for r, req := range batch {
+			pos := 0
+			for s := 0; s < k && pos < len(req.ind); s++ {
+				_, hi := d.shardRange(s)
+				start := pos
+				for pos < len(req.ind) && int(req.ind[pos]) < hi {
+					pos++
+				}
+				if pos > start {
+					f(r, s, start, pos)
+				}
 			}
-			if pos == start {
-				continue
-			}
-			// Fresh copies: the sub-batch crosses to another simulated
-			// machine and must not alias the request buffers.
-			x := vec.Sparse{
-				Ind: append([]int32(nil), req.ind[start:pos]...),
-				Val: append([]float64(nil), req.val[start:pos]...),
-			}
-			subs[s].rowIDs = append(subs[s].rowIDs, int32(r))
-			subs[s].rows = append(subs[s].rows, glm.Example{X: x})
-			subs[s].nnz += pos - start
 		}
+	}
+	// Count first, then copy the pieces into one backing per batch, shard
+	// by shard: the sub-batches cross to other simulated machines and must
+	// not alias the request buffers.
+	eachPiece(func(_, s, start, end int) {
+		subs[s].pieces++
+		subs[s].nnz += end - start
+	})
+	backing := 0
+	for s := range subs {
+		subs[s].at = backing
+		backing += subs[s].nnz
+		subs[s].rowIDs = make([]int32, 0, subs[s].pieces)
+		subs[s].rows = make([]glm.Example, 0, subs[s].pieces)
+	}
+	ind, val := make([]int32, backing), make([]float64, backing)
+	eachPiece(func(r, s, start, end int) {
+		sb := &subs[s]
+		lo, hi := sb.at, sb.at+end-start
+		sb.at = hi
+		x := vec.Sparse{Ind: ind[lo:hi:hi], Val: val[lo:hi:hi]}
+		copy(x.Ind, batch[r].ind[start:end])
+		copy(x.Val, batch[r].val[start:end])
+		sb.rowIDs = append(sb.rowIDs, int32(r))
+		sb.rows = append(sb.rows, glm.Example{X: x})
+	})
+	totalNNZ := 0
+	for _, req := range batch {
+		totalNNZ += len(req.ind)
 	}
 	// Routing charges one unit per nonzero examined, like aggregation does.
 	node.ComputeKind(p, float64(totalNNZ), trace.Aggregate, "route")
