@@ -33,7 +33,7 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench: ## wall-clock benchmarks (offload/sparse/pipeline/overlap/obs/causal on/off, slab kernels, CSR layout) -> BENCH_9.json
+bench: ## wall-clock benchmarks (sparse/pipeline/overlap/obs/causal on/off, slab kernels, CSR layout) -> BENCH_9.json
 	$(GO) test -bench 'BenchmarkWallClock' -run '^$$' -benchmem ./internal/bench \
 		| tee /dev/stderr | $(GO) run ./cmd/mlstar-benchjson -out BENCH_9.json
 
@@ -47,7 +47,7 @@ bench-overlap: ## overlap=off/on pair only; asserts the sim_speedup_overlap tabl
 bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR and des zero-alloc guards + des layer and fork/join microbenchmarks
 	$(GO) test -bench 'BenchmarkWallClock' -benchtime=1x -run '^$$' -benchmem ./internal/bench
 	$(GO) test -bench 'BenchmarkWait|BenchmarkQueueHandoff|BenchmarkGetUntil|BenchmarkForkJoin' -benchtime=1x -run 'TestDESZeroAllocs' -benchmem -v ./internal/des
-	$(GO) test -run 'TestParallelOffload|TestKernelAllocReduction|TestSparse|TestObs|TestPipeline|TestCSRBatchZeroAllocs|TestCSRKernel|TestCritPath|TestWhatIf' -v ./internal/bench
+	$(GO) test -run 'TestKernelAllocReduction|TestSparse|TestObs|TestPipeline|TestCSRBatchZeroAllocs|TestCSRKernel|TestCritPath|TestWhatIf' -v ./internal/bench
 
 obs: ## replay the committed sample event logs and diff against the golden reports
 	$(GO) run ./cmd/mlstar-obs -in internal/bench/testdata/obs_events_mllib.jsonl > obs_report_mllib.txt

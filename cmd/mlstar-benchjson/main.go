@@ -5,8 +5,6 @@
 //
 // Derived tables are emitted from paired sub-runs:
 //
-//   - speedup_par_vs_seq: ns/op(par=off) / ns/op(par=on) for benchmarks
-//     with offload-mode sub-runs; >1 means the offload pool won.
 //   - comm_reduction_sparse: commbytes/op(sparse=off) / commbytes/op(sparse=on)
 //     for benchmarks with exchange-mode sub-runs; >1 means the sparse
 //     model-delta encoding shrank the simulated traffic. The companion
@@ -71,11 +69,6 @@ type benchResult struct {
 // artifact is the emitted JSON document.
 type artifact struct {
 	Benchmarks []benchResult `json:"benchmarks"`
-	// SpeedupParVsSeq maps a benchmark's base name to ns/op(par=off) /
-	// ns/op(par=on): >1 means the offload pool made it faster. On a
-	// single-CPU host the pool falls back to inline execution and the ratio
-	// is ~1 by construction.
-	SpeedupParVsSeq map[string]float64 `json:"speedup_par_vs_seq,omitempty"`
 	// CommReductionSparse maps a benchmark's base name to
 	// commbytes/op(sparse=off) / commbytes/op(sparse=on) — the simulated
 	// communication-byte reduction from the sparse model-delta exchange.
@@ -199,8 +192,6 @@ func parse(sc *bufio.Scanner) (*artifact, error) {
 	if len(art.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
-	art.SpeedupParVsSeq = ratios(art.Benchmarks, "/par=off", "/par=on",
-		func(r benchResult) float64 { return r.NsPerOp })
 	art.CommReductionSparse = ratios(art.Benchmarks, "/sparse=off", "/sparse=on",
 		func(r benchResult) float64 { return r.Metrics["commbytes/op"] })
 	art.SimSpeedupSparse = ratios(art.Benchmarks, "/sparse=off", "/sparse=on",

@@ -3,7 +3,7 @@
 // non-zero on any finding.
 //
 // The suite has two layers. The syntactic analyzers (determinism, vecalias,
-// floateq, errdiscard, gocapture, obspure, pkgdoc) check one construct at a
+// floateq, errdiscard, gocapture, pkgdoc) check one construct at a
 // time. The flow-sensitive analyzers (costcharge, buflife, detflow) run the
 // dataflow engine in internal/analysis — CFGs, an intra-module call graph,
 // and cross-package function summaries ("facts") — so they follow values
@@ -50,7 +50,6 @@ import (
 	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/gocapture"
 	"mllibstar/internal/analysis/loader"
-	"mllibstar/internal/analysis/obspure"
 	"mllibstar/internal/analysis/pkgdoc"
 	"mllibstar/internal/analysis/vecalias"
 )
@@ -68,7 +67,6 @@ var analyzers = []*analysis.Analyzer{
 	floateq.Analyzer,
 	errdiscard.Analyzer,
 	gocapture.Analyzer,
-	obspure.Analyzer,
 	pkgdoc.Analyzer,
 }
 

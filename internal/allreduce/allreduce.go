@@ -39,7 +39,6 @@ import (
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
@@ -130,29 +129,15 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 	lo, hi := vec.PartitionRange(dim, k, self)
 	own := append([]float64(nil), local[lo:hi]...)
 	refOwn := refRange(lo, hi)
-	// Exchange returns all k−1 foreign copies at once, so the whole fold
-	// (plus the averaging scale) is one pure closure: own is this shard's
-	// private buffer and the received chunks were copied (or compressed) by
-	// their senders. The fold decodes each chunk and combines in ascending
-	// sender order — canonical, so the summation order cannot depend on how
-	// encoding sizes shift arrival times. The per-block charges are kept as
-	// separate virtual-time events — the exact charge sequence of the
-	// sequential engine — while the arithmetic overlaps them on the offload
-	// pool.
+	// Exchange returns all k−1 foreign copies at once. Each block is charged
+	// as its own virtual-time event, in arrival order; a sparse-encoded
+	// chunk's charge models its decode, so it is traced as Encode, and dense
+	// chunks keep the Aggregate kind. own is this shard's private buffer and
+	// the received chunks were copied (or compressed) by their senders. The
+	// fold then decodes each chunk and combines in ascending sender order —
+	// canonical, so the summation order cannot depend on how encoding sizes
+	// shift arrival times.
 	blocks := engine.Exchange(p, ex, execs, self, "rs:"+name, outgoing)
-	folded := append([]engine.Block(nil), blocks...)
-	sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
-	h := par.Do(func() {
-		for _, b := range folded {
-			vec.AddScaled(own, b.Payload.(sparse.Enc).Dense(refOwn), 1)
-		}
-		if average {
-			vec.Scale(own, 1/float64(k))
-		}
-	})
-	// A sparse-encoded chunk's charge models its decode, so it is traced as
-	// Encode; dense chunks keep the Aggregate kind. The charges themselves
-	// replay the arrival sequence either way.
 	for _, b := range blocks {
 		kind := trace.Aggregate
 		if b.Payload.(sparse.Enc).IsSparse() {
@@ -160,7 +145,13 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 		}
 		ex.ChargeKind(p, float64(hi-lo), kind, name)
 	}
-	h.Join()
+	sort.Slice(blocks, func(a, b int) bool { return blocks[a].From < blocks[b].From })
+	for _, b := range blocks {
+		vec.AddScaled(own, b.Payload.(sparse.Enc).Dense(refOwn), 1)
+	}
+	if average {
+		vec.Scale(own, 1/float64(k))
+	}
 
 	// Phase 2 — AllGather: a second shuffle round broadcasting the combined
 	// partition to everyone. After averaging the chunk is usually dense
@@ -178,18 +169,10 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 		})
 	}
 	copy(local[lo:hi], own)
-	// Same pattern for the gather: all received pieces land in disjoint
-	// ranges of local — order-insensitive by construction — so one closure
-	// installs them while the per-piece charges replay the sequential event
-	// sequence.
+	// Same pattern for the gather: the per-piece charges replay the arrival
+	// sequence, then the pieces are installed. They land in disjoint ranges
+	// of local, so the install is order-insensitive by construction.
 	gathered := engine.Exchange(p, ex, execs, self, "ag:"+name, outgoing)
-	h = par.Do(func() {
-		for _, b := range gathered {
-			pc := b.Payload.(piece)
-			plo, phi := vec.PartitionRange(dim, k, pc.from)
-			pc.enc.DecodeInto(local[plo:phi], refRange(plo, phi))
-		}
-	})
 	for _, b := range gathered {
 		pc := b.Payload.(piece)
 		plo, phi := vec.PartitionRange(dim, k, pc.from)
@@ -199,5 +182,9 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 		}
 		ex.ChargeKind(p, float64(phi-plo), kind, name)
 	}
-	h.Join()
+	for _, b := range gathered {
+		pc := b.Payload.(piece)
+		plo, phi := vec.PartitionRange(dim, k, pc.from)
+		pc.enc.DecodeInto(local[plo:phi], refRange(plo, phi))
+	}
 }

@@ -72,7 +72,8 @@ func ValidateChunks(chunks, dim, k int) error {
 //
 // The contract, which the overlap's bit-identity rests on:
 //
-//   - Prepare runs once, before any Produce, and is pure (offload-safe).
+//   - Prepare runs once, before any Produce, and is pure: it touches no
+//     simulation state.
 //   - Produce(lo, hi) finalizes coordinates [lo, hi) of the target vector;
 //     blocks may be requested in any order, each exactly once, and the calls
 //     the collective makes cover [0, dim). Produce is pure and must yield
@@ -112,10 +113,9 @@ func AverageProduced(p *des.Proc, ex *engine.Executor, execs []string, self int,
 			return
 		}
 	}
-	ex.ChargeAsync(p, prod.PrepareWork()+prod.Work(0, dim), func() {
-		prod.Prepare()
-		prod.Produce(0, dim)
-	})
+	ex.Charge(p, prod.PrepareWork()+prod.Work(0, dim))
+	prod.Prepare()
+	prod.Produce(0, dim)
 	Average(p, ex, execs, self, name, local)
 }
 
@@ -131,7 +131,8 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 	k := len(execs)
 	dim := len(local)
 	sender := ex.StartSender(p, name)
-	ex.ChargeAsync(p, prod.PrepareWork(), prod.Prepare)
+	ex.Charge(p, prod.PrepareWork())
+	prod.Prepare()
 
 	recvBW := make([]float64, k)
 	for j, nm := range execs {
@@ -142,7 +143,8 @@ func overlapRSG(p *des.Proc, ex *engine.Executor, execs []string, self int, name
 
 	produce := func(c, blo, bhi int) {
 		start := p.Now()
-		ex.ChargeAsync(p, prod.Work(blo, bhi), func() { prod.Produce(blo, bhi) })
+		ex.Charge(p, prod.Work(blo, bhi))
+		prod.Produce(blo, bhi)
 		if now := p.Now(); now > start {
 			ex.Node().Observe(p, trace.FeatBlock, start, now, fbNotes[c])
 		}

@@ -7,7 +7,6 @@ import (
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
@@ -27,8 +26,8 @@ func init() { pipeChunks.Store(DefaultChunks) }
 
 // Configure switches the collectives between the sequential two-round
 // schedule and the pipelined chunked schedule (see pipelinedRSG). chunks ≤ 0
-// selects DefaultChunks. Like par.Configure and sparse.Configure this is a
-// process-wide switch flipped between runs, not during one.
+// selects DefaultChunks. Like sparse.Configure this is a process-wide switch
+// flipped between runs, not during one.
 func Configure(on bool, chunks int) {
 	if chunks <= 0 {
 		chunks = DefaultChunks
@@ -163,7 +162,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 	// sender order then scaled — the sequential fold's per-coordinate
 	// operation sequence. Charges replay the arrival sequence on the task
 	// process (the node has one modeled core; the sender process only ever
-	// occupies the NIC), while the arithmetic overlaps on the offload pool.
+	// occupies the NIC), and the fold follows them.
 	for c := 0; c < C; c++ {
 		colo, cohi := vec.PartitionRange(hi-lo, C, c)
 		tagc := rsTags[c]
@@ -176,22 +175,6 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 		if now := p.Now(); now > idle {
 			ex.Node().Observe(p, trace.Pipeline, idle, now, tagc)
 		}
-		folded := append([]engine.Block(nil), blocks...)
-		sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
-		ownChunk := own[colo:cohi]
-		var refChunk []float64
-		if refOwn != nil {
-			refChunk = refOwn[colo:cohi]
-		}
-		fold := func() {
-			for _, b := range folded {
-				vec.AddScaled(ownChunk, b.Payload.(sparse.Enc).Dense(refChunk), 1)
-			}
-			if average {
-				vec.Scale(ownChunk, 1/float64(k))
-			}
-		}
-		h := par.Do(fold)
 		for _, b := range blocks {
 			kind := trace.Aggregate
 			if b.Payload.(sparse.Enc).IsSparse() {
@@ -199,7 +182,18 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 			}
 			ex.ChargeKind(p, float64(cohi-colo), kind, name)
 		}
-		h.Join()
+		ownChunk := own[colo:cohi]
+		var refChunk []float64
+		if refOwn != nil {
+			refChunk = refOwn[colo:cohi]
+		}
+		sort.Slice(blocks, func(a, b int) bool { return blocks[a].From < blocks[b].From })
+		for _, b := range blocks {
+			vec.AddScaled(ownChunk, b.Payload.(sparse.Enc).Dense(refChunk), 1)
+		}
+		if average {
+			vec.Scale(ownChunk, 1/float64(k))
+		}
 		if streamAG {
 			// Sparse exchange off: the AllGather encoding decision is
 			// statically dense, so the folded chunk streams out right away.
@@ -241,15 +235,6 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 		if now := p.Now(); now > idle {
 			ex.Node().Observe(p, trace.Pipeline, idle, now, tagc)
 		}
-		gathered := append([]engine.Block(nil), blocks...)
-		decode := func() {
-			for _, b := range gathered {
-				plo, phi := vec.PartitionRange(dim, k, b.From)
-				clo, chi := vec.PartitionRange(phi-plo, C, c)
-				b.Payload.(sparse.Enc).DecodeInto(local[plo+clo:plo+chi], refRange(plo+clo, plo+chi))
-			}
-		}
-		h := par.Do(decode)
 		for _, b := range blocks {
 			plo, phi := vec.PartitionRange(dim, k, b.From)
 			clo, chi := vec.PartitionRange(phi-plo, C, c)
@@ -259,6 +244,10 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 			}
 			ex.ChargeKind(p, float64(chi-clo), kind, name)
 		}
-		h.Join()
+		for _, b := range blocks {
+			plo, phi := vec.PartitionRange(dim, k, b.From)
+			clo, chi := vec.PartitionRange(phi-plo, C, c)
+			b.Payload.(sparse.Enc).DecodeInto(local[plo+clo:plo+chi], refRange(plo+clo, plo+chi))
+		}
 	}
 }

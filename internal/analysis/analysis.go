@@ -2,8 +2,8 @@
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository keeps its zero-dependency policy. It provides the Analyzer and
 // Pass types that the mlstar lint suite (cmd/mlstar-lint) drives, and the
-// sibling packages determinism, vecalias, floateq, errdiscard, and gocapture
-// implement the project-specific invariants on top of it.
+// sibling packages (determinism, vecalias, costcharge, ...) implement the
+// project-specific invariants on top of it.
 //
 // The framework deliberately mirrors the upstream API shape — an Analyzer
 // with a Run function over a Pass carrying the package's syntax and type
@@ -44,6 +44,36 @@ type Analyzer struct {
 	// pass.Report. The returned error aborts the whole lint run (reserved
 	// for internal failures, not findings).
 	Run func(pass *Pass) error
+}
+
+// SimulatedScope is the default scope of the two determinism analyzers
+// (determinism and detflow): every package whose code runs inside, drives,
+// or reports on a simulation, so its results must be bit-reproducible.
+var SimulatedScope = []string{
+	"mllibstar/internal/allreduce",
+	"mllibstar/internal/angel",
+	"mllibstar/internal/bench",
+	"mllibstar/internal/causal",
+	"mllibstar/internal/clusters",
+	"mllibstar/internal/core",
+	"mllibstar/internal/data",
+	"mllibstar/internal/des",
+	"mllibstar/internal/dfs",
+	"mllibstar/internal/engine",
+	"mllibstar/internal/feats",
+	"mllibstar/internal/glm",
+	"mllibstar/internal/lbfgs",
+	"mllibstar/internal/mavg",
+	"mllibstar/internal/metrics",
+	"mllibstar/internal/mllib",
+	"mllibstar/internal/obs",
+	"mllibstar/internal/opt",
+	"mllibstar/internal/petuum",
+	"mllibstar/internal/ps",
+	"mllibstar/internal/serve",
+	"mllibstar/internal/simnet",
+	"mllibstar/internal/trace",
+	"mllibstar/internal/train",
 }
 
 // InScope reports whether the analyzer's DefaultScope covers the package

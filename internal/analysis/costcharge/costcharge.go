@@ -1,18 +1,14 @@
 // Package costcharge enforces the simnet cost-model contracts
-// interprocedurally, replacing the syntactic obspure check with a
-// callgraph-based one:
+// interprocedurally, over the call graph:
 //
-//   - Offloaded closures (Task.Pure bodies, the fn argument of
-//     ComputeAsyncKind/ChargeAsync/ChargeAsyncKind, thunks handed to
-//     par.Go/par.Do — whether written inline, bound to a local first, or
-//     named functions) must not REACH the obs/trace telemetry layer or a
-//     simulation charge operation through any chain of calls. The old
-//     obspure analyzer only saw obs calls written textually inside the
-//     closure body; costcharge follows the call graph, so a closure that
-//     delegates to a helper which logs a span is caught too. Telemetry from
-//     pool goroutines lands in wall-clock completion order and breaks event
-//     -log determinism; charges from pool goroutines mutate virtual time
-//     off the simulation thread and corrupt the cost model.
+//   - Task.Pure bodies must not REACH the obs/trace telemetry layer or a
+//     simulation charge operation through any chain of calls, so a closure
+//     that delegates to a helper which logs a span is caught too. The engine
+//     memoizes Pure per task: it runs once, on whichever attempt (original or
+//     speculative copy) starts first, and every attempt charges its returned
+//     work. A span or a charge inside it would therefore be booked once, on
+//     one attempt's executor, instead of on each attempt that the work
+//     models.
 //
 //   - Observe-path functions — everything in internal/obs and
 //     internal/trace, plus any function or method named Observe* — must
@@ -49,31 +45,17 @@ const (
 	tracePath  = "mllibstar/internal/trace"
 	simnetPath = "mllibstar/internal/simnet"
 	desPath    = "mllibstar/internal/des"
-	parPath    = "mllibstar/internal/par"
 )
-
-// offloadFuncs are the entry points whose func arguments run on pool
-// goroutines. The names are unique to the offload API, so they are matched
-// by name alone (the analysistest corpus mirrors them without importing the
-// engine).
-var offloadFuncs = map[string]bool{
-	"ComputeAsyncKind": true,
-	"ChargeAsync":      true,
-	"ChargeAsyncKind":  true,
-}
 
 // uniqueChargeNames are charge operations whose names exist nowhere else in
 // the module, matched by name alone so corpora can mirror them. Generic
 // names (Send, Compute, Recv, Wait) additionally require the defining
 // package to be simnet or des.
 var uniqueChargeNames = map[string]bool{
-	"ComputeKind":      true,
-	"ComputeAsyncKind": true,
-	"ChargeAsync":      true,
-	"ChargeAsyncKind":  true,
-	"SendPhase":        true,
-	"RecvN":            true,
-	"WaitUntil":        true,
+	"ComputeKind": true,
+	"SendPhase":   true,
+	"RecvN":       true,
+	"WaitUntil":   true,
 }
 
 var simnetChargeNames = map[string]bool{
@@ -89,7 +71,7 @@ const name = "costcharge"
 // Analyzer is the interprocedural cost-charge check.
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "offloaded closures must not reach obs/trace or simulation charges; observe paths never charge; no duplicate charge statements",
+	Doc:      "Task.Pure bodies must not reach obs/trace or simulation charges; observe paths never charge; no duplicate charge statements",
 	FactsAll: true,
 	Run:      run,
 }
@@ -129,7 +111,7 @@ func (s *summary) via(bit uint8) string {
 }
 
 func run(pass *analysis.Pass) error {
-	if p := pass.Pkg.Path(); p == obsPath || p == tracePath || p == simnetPath || p == desPath || p == parPath {
+	if p := pass.Pkg.Path(); p == obsPath || p == tracePath || p == simnetPath || p == desPath {
 		// The telemetry and cost-model layers implement the primitives; the
 		// contracts bind their users.
 		return nil
@@ -145,7 +127,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	reportOffloadRoots(pass, g, sums)
+	reportPureRoots(pass, g, sums)
 	reportObservePaths(pass, g, sums)
 	reportDuplicateCharges(pass, g)
 	return nil
@@ -236,21 +218,11 @@ func classify(fn *types.Func) (uint8, string) {
 	return 0, ""
 }
 
-// offloadRoot is one closure or function that will run on a pool goroutine.
-type offloadRoot struct {
-	pos   ast.Node
-	node  *callgraph.Node // in-package body, when visible
-	fn    *types.Func     // named function handed over (may be remote)
-	where string
-}
-
-// reportOffloadRoots finds every offloaded closure and checks its summary.
-func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callgraph.Node]*summary) {
-	bound := boundLiterals(pass)
-	var roots []offloadRoot
-	addLit := func(at ast.Node, lit *ast.FuncLit, where string) {
-		roots = append(roots, offloadRoot{pos: at, node: g.ByLit[lit], where: where})
-	}
+// reportPureRoots finds every Task.Pure closure literal — in a composite
+// literal (Task{Pure: func() …}) or an assignment (t.Pure = func() …) — and
+// checks its summary.
+func reportPureRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callgraph.Node]*summary) {
+	var roots []*ast.FuncLit
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
@@ -261,7 +233,7 @@ func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 				}
 				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Pure" {
 					if lit, ok := ast.Unparen(kv.Value).(*ast.FuncLit); ok {
-						addLit(lit, lit, "Task.Pure closure")
+						roots = append(roots, lit)
 					}
 				}
 			}
@@ -272,62 +244,27 @@ func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 					continue
 				}
 				if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-					addLit(lit, lit, "Task.Pure closure")
-				}
-			}
-		case *ast.CallExpr:
-			name, ok := offloadCallee(pass, n)
-			if !ok {
-				return true
-			}
-			for _, arg := range n.Args {
-				switch arg := ast.Unparen(arg).(type) {
-				case *ast.FuncLit:
-					addLit(arg, arg, name+" closure")
-				case *ast.Ident:
-					if lits := bound[pass.TypesInfo.ObjectOf(arg)]; len(lits) > 0 {
-						for _, lit := range lits {
-							addLit(arg, lit, name+" closure "+arg.Name)
-						}
-					} else if fn, ok := pass.TypesInfo.Uses[arg].(*types.Func); ok {
-						roots = append(roots, offloadRoot{pos: arg, fn: fn, where: name + " function " + arg.Name})
-					}
-				case *ast.SelectorExpr:
-					if fn, ok := pass.TypesInfo.Uses[arg.Sel].(*types.Func); ok {
-						if _, isSig := pass.TypesInfo.Types[arg].Type.(*types.Signature); isSig {
-							roots = append(roots, offloadRoot{pos: arg, fn: fn, where: name + " function " + arg.Sel.Name})
-						}
-					}
+					roots = append(roots, lit)
 				}
 			}
 		}
 		return true
 	})
 
-	facts := pass.FactStore()
-	for _, r := range roots {
-		var s summary
-		switch {
-		case r.node != nil:
-			s = *sums[r.node]
-		case r.fn != nil:
-			if node, ok := g.ByFunc[r.fn]; ok {
-				s = *sums[node]
-			} else if bit, name := classify(r.fn); bit != 0 {
-				s.add(bit, name)
-			} else {
-				facts.Import(name, callgraph.FuncID(r.fn), &s)
-			}
+	for _, lit := range roots {
+		s := sums[g.ByLit[lit]]
+		if s == nil {
+			continue
 		}
 		if s.Bits&reachesObs != 0 {
-			pass.Reportf(r.pos.Pos(),
-				"%s reaches obs/trace telemetry (%s): offloaded code runs on pool goroutines in wall-clock order, so telemetry from it is nondeterministic; emit events from the simulation thread",
-				r.where, s.ObsVia)
+			pass.Reportf(lit.Pos(),
+				"Task.Pure closure reaches obs/trace telemetry (%s): Pure runs once per task, on whichever attempt starts first, so its telemetry would describe one attempt only; emit events from Run",
+				s.ObsVia)
 		}
 		if s.Bits&reachesCharge != 0 {
-			pass.Reportf(r.pos.Pos(),
-				"%s reaches a simulation charge (%s): offloaded code must not consume virtual time or bytes off the simulation thread",
-				r.where, s.ChargeVia)
+			pass.Reportf(lit.Pos(),
+				"Task.Pure closure reaches a simulation charge (%s): Pure runs once per task, so a charge inside it would be booked on one attempt only; return the work and let the engine charge it",
+				s.ChargeVia)
 		}
 	}
 }
@@ -388,57 +325,4 @@ func isChargeCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	bit, _ := classify(fn)
 	return bit == reachesCharge
-}
-
-// boundLiterals maps local variables to the function literals assigned to
-// them, for the named-closure offload style (fold := func(){…}; par.Do(fold)).
-func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
-	bound := map[types.Object][]*ast.FuncLit{}
-	record := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
-		if !ok {
-			return
-		}
-		if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-			bound[obj] = append(bound[obj], lit)
-		}
-	}
-	pass.Inspect(func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i := range n.Lhs {
-				if i < len(n.Rhs) {
-					record(n.Lhs[i], n.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			for i := range n.Names {
-				if i < len(n.Values) {
-					record(n.Names[i], n.Values[i])
-				}
-			}
-		}
-		return true
-	})
-	return bound
-}
-
-// offloadCallee reports whether the call hands its func arguments to pool
-// goroutines.
-func offloadCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	fn := analysis.FuncOf(pass.TypesInfo, call)
-	if fn == nil {
-		return "", false
-	}
-	if offloadFuncs[fn.Name()] {
-		return fn.Name(), true
-	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == parPath && (fn.Name() == "Go" || fn.Name() == "Do") {
-		return "par." + fn.Name(), true
-	}
-	return "", false
 }

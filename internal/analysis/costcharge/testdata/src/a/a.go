@@ -1,24 +1,17 @@
 // Corpus for the costcharge analyzer: interprocedural reachability from
-// offloaded closures to obs/trace telemetry and to simulation charges, the
+// Task.Pure closures to obs/trace telemetry and to simulation charges, the
 // observe-never-charge contract on Observe* functions, and duplicate charge
 // statements. Every telemetry and charge operation here is reached THROUGH
-// at least one helper call, which is exactly what the syntactic obspure
-// analyzer cannot see (obspure_regression_test asserts it stays silent on
-// this whole file).
+// at least one helper call, so only a call-graph walk finds it.
 package a
 
 import "mllibstar/internal/obs"
 
-// task mirrors engine.Task's offload contract; the analyzer matches the
-// Pure field by name, not by the defining package.
+// task mirrors engine.Task's memoized Pure field; the analyzer matches the
+// field by name, not by the defining package.
 type task struct {
 	Pure func() float64
 }
-
-// ComputeAsyncKind and ChargeAsync mirror the simnet/engine offload entry
-// points, which are matched by their (unique) names.
-func ComputeAsyncKind(work float64, note string, fn func()) { fn() }
-func ChargeAsync(work float64, fn func())                   { fn() }
 
 // SendPhase and WaitUntil are charge primitives declared elsewhere
 // (bodyless, so the call graph resolves them as remote and classifies them
@@ -26,8 +19,7 @@ func ChargeAsync(work float64, fn func())                   { fn() }
 func SendPhase(dst int, bytes float64)
 func WaitUntil(t float64)
 
-// logSpan is a helper whose telemetry the old syntactic check only sees
-// when the obs call is written textually inside the closure.
+// logSpan is a helper that records telemetry.
 func logSpan() {
 	obs.Active().Span("n", obs.PhaseCompute, 0, 1, "")
 }
@@ -51,12 +43,14 @@ func pureWork() float64 {
 }
 
 // The closure reaches obs only transitively (closure → helperChain →
-// logSpan → obs.Span): obspure sees no obs call in the body and stays
-// silent; costcharge follows the call graph.
-func offloadedObsViaHelper() {
-	ComputeAsyncKind(1, "agg", func() { // want `ComputeAsyncKind closure reaches obs/trace telemetry \(helperChain → logSpan`
-		helperChain()
-	})
+// logSpan → obs.Span): no obs call is written in its body.
+func pureObsViaHelper() task {
+	return task{
+		Pure: func() float64 { // want `Task\.Pure closure reaches obs/trace telemetry \(helperChain → logSpan`
+			helperChain()
+			return 1
+		},
+	}
 }
 
 // A Task.Pure body that consumes simulated bytes through a helper.
@@ -69,20 +63,12 @@ func pureCharges() task {
 	}
 }
 
-// emitter is a named function handed to the offload call by identifier.
-func emitter() {
-	logSpan()
-}
-
-func namedFunctionOffload() {
-	ChargeAsync(5, emitter) // want `ChargeAsync function emitter reaches obs/trace telemetry \(logSpan`
-}
-
-// A closure bound to a local before being handed over (the scheduler's
-// fold/decode style).
-func boundOffload() {
-	fold := func() { doSend() }
-	ComputeAsyncKind(2, "fold", fold) // want `ComputeAsyncKind closure fold reaches a simulation charge \(doSend → SendPhase\)`
+// A Pure assigned after the task is built (the SVRG trainer's style).
+func pureAssigned(t *task) {
+	t.Pure = func() float64 { // want `Task\.Pure closure reaches a simulation charge \(waitHelper → WaitUntil\)`
+		waitHelper()
+		return 0
+	}
 }
 
 // Observe* functions must never transitively consume simulated time.
@@ -113,10 +99,14 @@ func broadcastLoop() {
 	}
 }
 
-// Offloaded compute with no telemetry and no charges is the contract being
-// protected: clean.
-func cleanOffload() {
-	ComputeAsyncKind(1, "ok", func() { pureWork() })
+// A Pure with no telemetry and no charges is the contract being protected:
+// clean.
+func cleanPure() task {
+	return task{Pure: pureWork}
+}
+
+func cleanPureLiteral() task {
+	return task{Pure: func() float64 { return pureWork() }}
 }
 
 // Telemetry on the simulation thread is fine.
@@ -125,8 +115,9 @@ func simThreadTelemetry() {
 }
 
 // A scoped directive naming the analyzer suppresses the finding.
-func suppressedOffload() {
-	ChargeAsync(1, func() { //mlstar:nolint costcharge -- audited: flushes the final span after the pool join
+func suppressedPure(t *task) {
+	t.Pure = func() float64 { //mlstar:nolint costcharge -- audited: the span marks the first attempt on purpose
 		helperChain()
-	})
+		return 0
+	}
 }

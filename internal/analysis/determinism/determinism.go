@@ -24,11 +24,8 @@
 //     accumulation);
 //   - raw `go` statements are flagged: concurrency in simulated code must be
 //     expressed as simulation processes (des.Spawn, des.Fork — what the
-//     pipelined AllReduce scheduler uses for its sender and fold/decode
-//     stages) or handed to the deterministic compute pool (par.Go/par.Do),
-//     because a bare goroutine runs in wall-clock order outside the virtual
-//     clock. The des kernel's own Spawn implementation is the one audited
-//     exception, suppressed in place.
+//     pipelined AllReduce scheduler uses for its sender stage), because a
+//     bare goroutine runs in wall-clock order outside the virtual clock.
 package determinism
 
 import (
@@ -40,35 +37,10 @@ import (
 
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code",
-	DefaultScope: []string{
-		"mllibstar/internal/allreduce",
-		"mllibstar/internal/angel",
-		"mllibstar/internal/bench",
-		"mllibstar/internal/causal",
-		"mllibstar/internal/clusters",
-		"mllibstar/internal/core",
-		"mllibstar/internal/data",
-		"mllibstar/internal/des",
-		"mllibstar/internal/dfs",
-		"mllibstar/internal/engine",
-		"mllibstar/internal/feats",
-		"mllibstar/internal/glm",
-		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
-		"mllibstar/internal/metrics",
-		"mllibstar/internal/mllib",
-		"mllibstar/internal/obs",
-		"mllibstar/internal/opt",
-		"mllibstar/internal/petuum",
-		"mllibstar/internal/ps",
-		"mllibstar/internal/serve",
-		"mllibstar/internal/simnet",
-		"mllibstar/internal/trace",
-		"mllibstar/internal/train",
-	},
-	Run: run,
+	Name:         "determinism",
+	Doc:          "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code",
+	DefaultScope: analysis.SimulatedScope,
+	Run:          run,
 }
 
 // randConstructors may be called only from internal/detrand (which is kept
@@ -107,7 +79,7 @@ func run(pass *analysis.Pass) error {
 			checkRange(pass, n)
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
-				"raw goroutine in simulated code runs in wall-clock order outside the virtual clock; use a simulation process (des.Spawn/des.Fork) or the deterministic pool (par.Go/par.Do)")
+				"raw goroutine in simulated code runs in wall-clock order outside the virtual clock; use a simulation process (des.Spawn/des.Fork)")
 		}
 		return true
 	})

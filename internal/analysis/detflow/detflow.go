@@ -50,36 +50,11 @@ const (
 
 // Analyzer is the determinism-taint check.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      "track map-order and wall-clock taint through assignments and calls into float accumulations, simulation charges, and shared state",
-	FactsAll: true,
-	DefaultScope: []string{
-		"mllibstar/internal/allreduce",
-		"mllibstar/internal/angel",
-		"mllibstar/internal/bench",
-		"mllibstar/internal/causal",
-		"mllibstar/internal/clusters",
-		"mllibstar/internal/core",
-		"mllibstar/internal/data",
-		"mllibstar/internal/des",
-		"mllibstar/internal/dfs",
-		"mllibstar/internal/engine",
-		"mllibstar/internal/feats",
-		"mllibstar/internal/glm",
-		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
-		"mllibstar/internal/metrics",
-		"mllibstar/internal/mllib",
-		"mllibstar/internal/obs",
-		"mllibstar/internal/opt",
-		"mllibstar/internal/petuum",
-		"mllibstar/internal/ps",
-		"mllibstar/internal/serve",
-		"mllibstar/internal/simnet",
-		"mllibstar/internal/trace",
-		"mllibstar/internal/train",
-	},
-	Run: run,
+	Name:         name,
+	Doc:          "track map-order and wall-clock taint through assignments and calls into float accumulations, simulation charges, and shared state",
+	FactsAll:     true,
+	DefaultScope: analysis.SimulatedScope,
+	Run:          run,
 }
 
 const (
@@ -479,7 +454,7 @@ func (a *analyzer) callSinks(call *ast.CallExpr, st taint.State, emit sink) {
 // costcharge analyzer's classification).
 func isChargePrimitive(fn *types.Func) bool {
 	switch fn.Name() {
-	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "ChargeAsyncKind", "SendPhase", "RecvN", "WaitUntil":
+	case "ComputeKind", "SendPhase", "RecvN", "WaitUntil":
 		return true
 	}
 	pkg := ""

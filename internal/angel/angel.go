@@ -24,7 +24,6 @@ import (
 	"mllibstar/internal/opt"
 	"mllibstar/internal/ps"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -97,8 +96,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				// One epoch of mini-batch GD over the local partition. The
 				// epoch's work is structural — every batch costs its
 				// nonzeros plus a dense regularization sweep — so the charge
-				// is known upfront and the arithmetic overlaps it on the
-				// offload pool.
+				// is known upfront and the arithmetic follows it.
 				eta := sched(t - 1)
 				batches := 0
 				if part.NumRows() > 0 {
@@ -119,13 +117,10 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
-				var delta []float64
-				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
-					local := vec.Copy(w)
-					opt.LocalMGDEpochView(prm.Objective, local, part, batchSize, opt.Const(eta), 0, scratch)
-					vec.AddScaled(local, w, -1)
-					delta = local
-				})
+				node.Compute(p, effort)
+				delta := vec.Copy(w)
+				opt.LocalMGDEpochView(prm.Objective, delta, part, batchSize, opt.Const(eta), 0, scratch)
+				vec.AddScaled(delta, w, -1)
 				res.Updates += int64(batches)
 				obs.Active().Updates(t, node.Name(), int64(batches), p.Now())
 				deploy.Push(p, node.Name(), r, t, delta)

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/train"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -176,6 +178,31 @@ func must(t *testing.T, id string) Experiment {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// requireSameResult fails unless the two results of a mode-parity pair are
+// bit-identical in every numeric output, the virtual clock included.
+func requireSameResult(t *testing.T, system string, off, on *train.Result) {
+	t.Helper()
+	if math.Float64bits(off.SimTime) != math.Float64bits(on.SimTime) {
+		t.Errorf("%s: SimTime %v (off) != %v (on)", system, off.SimTime, on.SimTime)
+	}
+	if off.CommSteps != on.CommSteps || off.Updates != on.Updates {
+		t.Errorf("%s: steps/updates (%d,%d) != (%d,%d)", system,
+			off.CommSteps, off.Updates, on.CommSteps, on.Updates)
+	}
+	if len(off.FinalW) != len(on.FinalW) {
+		t.Fatalf("%s: FinalW length %d != %d", system, len(off.FinalW), len(on.FinalW))
+	}
+	for j := range off.FinalW {
+		if math.Float64bits(off.FinalW[j]) != math.Float64bits(on.FinalW[j]) {
+			t.Fatalf("%s: FinalW[%d] = %x (off) != %x (on)", system, j,
+				math.Float64bits(off.FinalW[j]), math.Float64bits(on.FinalW[j]))
+		}
+	}
+	if offCSV, onCSV := off.Curve.CSV(true), on.Curve.CSV(true); offCSV != onCSV {
+		t.Errorf("%s: convergence curves differ:\noff:\n%s\non:\n%s", system, offCSV, onCSV)
+	}
 }
 
 func TestFigureReportsIncludeSVG(t *testing.T) {

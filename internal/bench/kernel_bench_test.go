@@ -109,19 +109,16 @@ func TestCSRKernelZeroAllocs(t *testing.T) {
 	rows := []int32{1, 5, 9, 40}
 	sched := opt.Const(0.05)
 	sc := &opt.PassScratch{}
-	accum := opt.NewSparseAccum(dim)
 	batch := v.Sub(0, 256)
-	// Warm the reusable scratch (lazy-L2 shadow, accumulator deriv buffer).
+	// Warm the reusable scratch (lazy-L2 shadow).
 	opt.LocalPassView(obj, model, v, sched, 0, sc)
-	opt.MGDStepAccumView(obj, model, batch, 0.05, accum)
 	for name, fn := range map[string]func(){
-		"AddGradient":      func() { data.AddGradient(obj, model, v, g) },
-		"AddGradientRows":  func() { data.AddGradientRows(obj, model, v, rows, g) },
-		"GradAndLoss":      func() { data.GradAndLoss(obj, model, v, g) },
-		"LossSum":          func() { data.LossSum(obj, model, v) },
-		"LocalPassView":    func() { opt.LocalPassView(obj, model, v, sched, 0, sc) },
-		"MGDStepView":      func() { opt.MGDStepView(obj, model, batch, 0.05, g) },
-		"MGDStepAccumView": func() { opt.MGDStepAccumView(obj, model, batch, 0.05, accum) },
+		"AddGradient":     func() { data.AddGradient(obj, model, v, g) },
+		"AddGradientRows": func() { data.AddGradientRows(obj, model, v, rows, g) },
+		"GradAndLoss":     func() { data.GradAndLoss(obj, model, v, g) },
+		"LossSum":         func() { data.LossSum(obj, model, v) },
+		"LocalPassView":   func() { opt.LocalPassView(obj, model, v, sched, 0, sc) },
+		"MGDStepView":     func() { opt.MGDStepView(obj, model, batch, 0.05, g) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", name, allocs)

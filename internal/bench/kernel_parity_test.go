@@ -144,12 +144,11 @@ func TestCSRKernelBitIdentitySVRG(t *testing.T) {
 	requireSameResult(t, "MLlib*-SVRG", off, on)
 }
 
-// TestCSRKernelBitIdentityAcrossParAndSparse crosses the kernel switch with
-// the offload pool and the sparse exchange: kernels on ≡ off must hold in
-// every combination of the other two switches (each comparison keeps the
-// par/sparse setting fixed on both legs, so requireSameResult — clock
-// included — applies throughout).
-func TestCSRKernelBitIdentityAcrossParAndSparse(t *testing.T) {
+// TestCSRKernelBitIdentityAcrossSparse crosses the kernel switch with the
+// sparse exchange: kernels on ≡ off must hold with sparse exchange on and
+// off (each comparison keeps the sparse setting fixed on both legs, so
+// requireSameResult — clock included — applies throughout).
+func TestCSRKernelBitIdentityAcrossSparse(t *testing.T) {
 	cfg := RunConfig{Scale: 20000, EvalCap: 200}
 	w, err := loadWorkload("avazu", cfg)
 	if err != nil {
@@ -165,17 +164,13 @@ func TestCSRKernelBitIdentityAcrossParAndSparse(t *testing.T) {
 			}
 			return res
 		}
-		for _, parOn := range []bool{false, true} {
-			for _, sparseOn := range []bool{false, true} {
-				var off, on *train.Result
-				runWithPar(parOn, func() {
-					runWithSparse(sparseOn, func() {
-						runWithKernels(false, func() { off = run() })
-						runWithKernels(true, func() { on = run() })
-					})
-				})
-				requireSameResult(t, system, off, on)
-			}
+		for _, sparseOn := range []bool{false, true} {
+			var off, on *train.Result
+			runWithSparse(sparseOn, func() {
+				runWithKernels(false, func() { off = run() })
+				runWithKernels(true, func() { on = run() })
+			})
+			requireSameResult(t, system, off, on)
 		}
 	}
 }

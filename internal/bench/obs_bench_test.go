@@ -4,8 +4,8 @@ package bench
 // `make bench` report the recording overhead (mlstar-benchjson derives
 // obs_overhead = ns/op(obs=on) / ns/op(obs=off) from the pair); obsevents/op
 // reports how many structured events one Figure-4-style run generates.
-// Results are bit-identical in both modes — see obs_parity_test.go — so, as
-// with the offload pool, these measure time only.
+// Results are bit-identical in both modes — see obs_parity_test.go — so
+// these measure time only.
 
 import (
 	"testing"

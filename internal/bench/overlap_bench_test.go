@@ -97,11 +97,10 @@ func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int) (final []floa
 						partial := make([]float64, dim+1)
 						gs := data.NewGradStream(obj, locals[i], parts[i], partial, true, float64(parts[i].NNZ())*2)
 						allreduce.AverageProduced(p, ex, cl.Execs, i, fmt.Sprintf("gd%d", t), partial, gs)
-						ex.ChargeAsync(p, float64(len(support)), func() {
-							for _, j := range support {
-								locals[i][j] -= step * partial[j]
-							}
-						})
+						ex.Charge(p, float64(len(support)))
+						for _, j := range support {
+							locals[i][j] -= step * partial[j]
+						}
 						return nil, 0
 					},
 				}

@@ -9,9 +9,8 @@ package bench
 // whole-partition encodings — so, like the pipeline switch, overlap-on must
 // match overlap-off on every training numeric AND charge exactly the same
 // TotalBytes. The crossings here cover the two trainers whose gradient
-// collectives stream (LBFGS* and SVRG) against the sparse exchange, the
-// slab kernels (GradStream's pass 1 branches on the kernel mode), and the
-// offload pool.
+// collectives stream (LBFGS* and SVRG) against the sparse exchange and the
+// slab kernels (GradStream's pass 1 branches on the kernel mode).
 
 import (
 	"testing"
@@ -116,35 +115,4 @@ func TestPipelineOverlapBitIdentitySVRG(t *testing.T) {
 		}
 		requirePipelineParity(t, name, off, on)
 	}
-}
-
-// TestPipelineOverlapBothPoolModes crosses overlap×par: the overlapped
-// schedule charges block production through the same ChargeAsync the
-// precomputed pass uses, so with overlap on, par=off and par=on must agree
-// on everything including SimTime bits.
-func TestPipelineOverlapBothPoolModes(t *testing.T) {
-	cfg := RunConfig{Scale: 20000, EvalCap: 200}
-	w, err := loadWorkload("avazu", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
-		parts := w.ds.Partition(4, 3)
-		res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
-			Objective: glm.LogReg(0.01),
-			MaxIters:  6,
-			AllReduce: true,
-		}, w.eval, w.ds.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var seq, con *train.Result
-	runWithOverlap(true, func() {
-		runWithPar(false, func() { seq = run() })
-		runWithPar(true, func() { con = run() })
-	})
-	requireSameResult(t, "LBFGS-allreduce overlapped", seq, con)
 }

@@ -163,32 +163,6 @@ func TestPipelineSparseCrossing(t *testing.T) {
 	requirePipelineParity(t, "MLlib* sparse", off, on)
 }
 
-// TestPipelineBothPoolModes crosses pipeline×par: the pipelined schedule
-// never branches on the offload pool, so with pipelining on, par=off and
-// par=on must agree on everything including SimTime bits.
-func TestPipelineBothPoolModes(t *testing.T) {
-	cfg := RunConfig{Scale: 20000, EvalCap: 200}
-	w, err := loadWorkload("avazu", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prm := tuned(sysMLlibStar, "avazu", 0.1)
-	prm.MaxSteps = 8
-	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var seq, con *train.Result
-	runWithPipeline(true, func() {
-		runWithPar(false, func() { seq = run() })
-		runWithPar(true, func() { con = run() })
-	})
-	requireSameResult(t, "MLlib* pipelined", seq, con)
-}
-
 // TestPipelineNoSlowdown pins the direction of the time change: on the
 // comm-balanced cluster the pipelined schedule must make the high-
 // dimensional MLlib* run strictly faster in virtual time, with the ≥1.3×

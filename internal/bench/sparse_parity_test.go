@@ -14,7 +14,7 @@ package bench
 // (MaxSimTime, TargetObjective against a time-interpolated table) are not
 // valid parity subjects — a faster clock legitimately changes how many
 // steps fit — which is why the fig4a report check lives only in the
-// offload-parity suite, where the clock is part of the contract.
+// kernel-parity suite, where the clock is part of the contract.
 
 import (
 	"math"
@@ -167,30 +167,4 @@ func TestSparseExchangeBitIdentitySVRG(t *testing.T) {
 	runWithSparse(false, func() { off = run() })
 	runWithSparse(true, func() { on = run() })
 	requireSameNumerics(t, "MLlib*-SVRG", off, on)
-}
-
-// TestSparseExchangeBothPoolModes crosses the two switches: the sparse path
-// must stay bit-identical whether closures run inline or on the offload
-// pool (the canonical ascending-sender fold order is what makes this hold).
-func TestSparseExchangeBothPoolModes(t *testing.T) {
-	cfg := RunConfig{Scale: 20000, EvalCap: 200}
-	w, err := loadWorkload("avazu", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prm := tuned(sysMLlibStar, "avazu", 0.1)
-	prm.MaxSteps = 8
-	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var seq, con *train.Result
-	runWithSparse(true, func() {
-		runWithPar(false, func() { seq = run() })
-		runWithPar(true, func() { con = run() })
-	})
-	requireSameResult(t, "MLlib* sparse", seq, con)
 }

@@ -1,12 +1,8 @@
 package bench
 
-// Wall-clock benchmarks for the offload layer and the allocation-optimized
-// kernels. Each trainer benchmark has par=off / par=on sub-runs so
-// `make bench` can report the speedup of the deterministic compute offload
-// over the sequential engine (on a single-CPU host the two are expected to
-// tie, since Configure falls back to inline execution; the parallel path is
-// still exercised via par.ForceEnable). Results are identical bit-for-bit in
-// both modes — see parity_test.go — so these measure time only.
+// Wall-clock benchmarks for the paper-figure trainer workloads and the
+// allocation-optimized kernels: they measure host time and allocations of
+// runs whose results the parity suites pin.
 
 import (
 	"testing"
@@ -14,7 +10,6 @@ import (
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/opt"
-	"mllibstar/internal/par"
 )
 
 // benchWorkload returns the shared small avazu workload used by the
@@ -28,33 +23,13 @@ func benchWorkload(b *testing.B) *workload {
 	return w
 }
 
-// runParModes runs body once per b.N under each offload mode as a sub-run.
-func runParModes(b *testing.B, body func(b *testing.B)) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"par=off", false}, {"par=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			if mode.on {
-				par.ForceEnable(4)
-			} else {
-				par.Configure(false, 0)
-			}
-			defer par.Configure(true, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body(b)
-			}
-		})
-	}
-}
-
 // BenchmarkWallClockFig4 times the regularized MLlib-vs-MLlib* workload of
 // Figure 4 (both systems, a few communication steps each).
 func BenchmarkWallClockFig4(b *testing.B) {
 	w := benchWorkload(b)
-	runParModes(b, func(b *testing.B) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		for _, sys := range []string{sysMLlib, sysMLlibStar} {
 			prm := tuned(sys, "avazu", 0.1)
 			prm.MaxSteps = 10
@@ -62,14 +37,16 @@ func BenchmarkWallClockFig4(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
 }
 
 // BenchmarkWallClockFig5 times the unregularized parameter-server comparison
 // of Figure 5 (MLlib*, Petuum*, Angel).
 func BenchmarkWallClockFig5(b *testing.B) {
 	w := benchWorkload(b)
-	runParModes(b, func(b *testing.B) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		for _, sys := range []string{sysMLlibStar, sysPetuumStar, sysAngel} {
 			prm := tuned(sys, "avazu", 0)
 			prm.MaxSteps = 10
@@ -77,21 +54,22 @@ func BenchmarkWallClockFig5(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
 }
 
 // BenchmarkWallClockSuperstep times a single MLlib* communication step — one
-// BSP stage of local passes plus AllReduce — the unit the offload layer
-// parallelizes across executors.
+// BSP stage of local passes plus AllReduce.
 func BenchmarkWallClockSuperstep(b *testing.B) {
 	w := benchWorkload(b)
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 1
-	runParModes(b, func(b *testing.B) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := runSystem(sysMLlibStar, clusters.Test(8), w, prm, nil); err != nil {
 			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // BenchmarkWallClockKernels times one mini-batch gradient step in the dense

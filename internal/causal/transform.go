@@ -65,9 +65,9 @@ func (r *retimer) drop(id int, replacements ...int) {
 // on the same chain — the gradient pass that fed the collective — or −1;
 // the overlap transform streams it (streamedInstance).
 type xchRun struct {
-	name string
-	host string
-	grad int
+	name                                               string
+	host                                               string
+	grad                                               int
 	rsSends, rsRecvs, folds, agSends, agRecvs, updates []int
 }
 
@@ -83,7 +83,7 @@ func parseXchRun(g *Graph, ids []int, i int) (run xchRun, next int, ok bool) {
 	run.grad = -1
 	if i > 0 {
 		// Collective charges (folds, updates) carry the collective name as
-		// their note; the gradient pass is an anonymous ChargeAsync, so an
+		// their note; the gradient pass is an anonymous Charge, so an
 		// un-noted span right before the first send can only be the compute
 		// that produced the vector being reduced.
 		if prev := g.Nodes[ids[i-1]]; prev.Kind == KindSpan && prev.Note == "" {

@@ -89,8 +89,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 				tasks[i] = engine.Task{
 					Exec: ctx.Cluster.Execs[i],
 					// UpdateModel: per-example SGD over the local partition
-					// (lazy L2 when regularized), offloaded as the task's
-					// pure closure — it touches only locals[i] and executor
+					// (lazy L2 when regularized), computed as the task's
+					// Pure — it touches only locals[i] and executor
 					// i's private optimizer state. The learning rate is
 					// constant within a step and decays (if configured)
 					// across steps. With Splash-style reweighting the local

@@ -87,7 +87,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 							// by block inside the μ collective itself, so early
 							// chunks ship while later coordinates are still
 							// accumulating. Same bits, same total charge as the
-							// Pure prefetch the non-overlapped task uses.
+							// Pure the non-overlapped task uses.
 							partial = ctx.GetVec(dim)
 							gs := data.NewGradStream(prm.Objective, local, parts[i], partial, false, float64(parts[i].NNZ()))
 							allreduce.AverageProduced(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("svrg-mu%d", t), partial, gs)
@@ -99,14 +99,13 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 						// structural — every Step costs 2·nnz for the two
 						// margins plus a dense μ/regularization sweep — so
 						// the charge is known upfront and the arithmetic
-						// overlaps it on the offload pool. SetSnapshot
-						// copies, so the pooled partial dies here.
+						// follows it. SetSnapshot copies, so the pooled
+						// partial dies here.
 						inner := 2*parts[i].NNZ() + parts[i].NumRows()*dim
-						ex.ChargeAsync(p, float64(inner), func() {
-							vec.Scale(partial, float64(k)/float64(total)) // mean over all examples
-							states[i].SetSnapshot(local, partial)
-							states[i].Pass(prm.Objective, local, parts[i].Examples())
-						})
+						ex.Charge(p, float64(inner))
+						vec.Scale(partial, float64(k)/float64(total)) // mean over all examples
+						states[i].SetSnapshot(local, partial)
+						states[i].Pass(prm.Objective, local, parts[i].Examples())
 						ctx.PutVec(partial)
 
 						// (3) Model averaging, delta-encoded against the
@@ -117,7 +116,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 				}
 				if !allreduce.OverlapEnabled() {
 					// (1) Snapshot: partial loss gradient at the current
-					// (synchronized) model, offloaded as the pure closure.
+					// (synchronized) model, computed as the task's Pure.
 					tasks[i].Pure = func() float64 {
 						partial := ctx.GetVec(dim)
 						partials[i] = partial

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mllibstar/internal/des"
-	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
@@ -39,12 +38,12 @@ type recvPartial struct {
 // roughly sqrt(k) aggregators.
 //
 // payloadBytes extra bytes are shipped with each task descriptor; MLlib uses
-// this to broadcast the current model to every executor. compute must be a
-// pure closure in the offload sense (see Task.Pure): it receives the task
-// index (use it — not an executor name — to select the data partition, so
-// speculative copies and failure rerouting compute the right partition on
-// any host) and returns its partial plus the virtual-time work to charge;
-// the engine performs the charge. Partials may come from the context's
+// this to broadcast the current model to every executor. compute becomes
+// each task's Pure, so it must be side-effect free (see Task.Pure): it
+// receives the task index (use it — not an executor name — to select the
+// data partition, so speculative copies and failure rerouting compute the
+// right partition on any host) and returns its partial plus the
+// virtual-time work to charge; the engine performs the charge. Partials may come from the context's
 // buffer pool (GetVec) — the engine recycles every partial it consumes, and
 // ownership of the returned sum transfers to the caller, who may PutVec it
 // when the values are dead. The returned vector is the element-wise sum of
@@ -91,9 +90,8 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 		groupSize[i%aggregators]++
 	}
 
-	// partials[i] is written by task i's pure closure and read by its Run
-	// after the engine joins the closure — the join's happens-before edge
-	// orders the two.
+	// partials[i] is written by task i's Pure and read by its Run, which the
+	// engine starts only after Pure has returned.
 	partials := make([][]float64, k)
 	tasks := make([]Task, k)
 	for i := 0; i < k; i++ {
@@ -133,9 +131,8 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 				// Aggregator: collect the group members' partials, decoding
 				// each under the same per-message Aggregate charge the dense
 				// engine pays, then fold them in ascending sender order —
-				// the canonical summation order — overlapping the join on
-				// the offload pool. Source buffers are dead after the fold
-				// and recycled.
+				// the canonical summation order. Source buffers are dead
+				// after the fold and recycled.
 				members := make([]recvPartial, 0, groupSize[group]-1)
 				for m := 1; m < groupSize[group]; m++ {
 					msg := ex.Recv(p, tag)
@@ -147,20 +144,12 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 					if am.enc.IsSparse() {
 						kind = trace.Encode
 					}
-					var src []float64
-					ex.ChargeAsyncKind(p, float64(dim), kind, name, func() {
-						src = am.enc.Dense(ref)
-					})
-					members = append(members, recvPartial{from: am.from, vals: src})
+					ex.ChargeKind(p, float64(dim), kind, name)
+					members = append(members, recvPartial{from: am.from, vals: am.enc.Dense(ref)})
 				}
 				sort.Slice(members, func(a, b int) bool { return members[a].from < members[b].from })
-				h := par.Do(func() {
-					for _, m := range members {
-						vec.AddScaled(partial, m.vals, 1)
-					}
-				})
-				h.Join()
 				for _, m := range members {
+					vec.AddScaled(partial, m.vals, 1)
 					ctx.pool.Put(m.vals)
 				}
 				// The reply to the driver is charged at its encoded size;
@@ -185,9 +174,8 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 			total = part
 			continue
 		}
-		driver.ComputeAsyncKind(p, float64(dim), trace.Aggregate, name, func() {
-			vec.AddScaled(total, part, 1)
-		})
+		driver.ComputeKind(p, float64(dim), trace.Aggregate, name)
+		vec.AddScaled(total, part, 1)
 		ctx.pool.Put(part)
 	}
 	return total

@@ -106,11 +106,6 @@ type Executor struct {
 	blocks   map[blockID]any
 	slowdown float64 // per-task straggler multiplier set by the scheduler (0 = none)
 	failed   bool    // out of service (see Cluster.FailExecutor)
-
-	// Identity of the currently executing task attempt, for accumulators.
-	curStage   int
-	curTask    int
-	curAttempt int
 }
 
 // Name returns the executor's node name.
@@ -136,20 +131,6 @@ func (ex *Executor) Charge(p *des.Proc, work float64) {
 // ChargeKind is Charge with an explicit trace kind (Aggregate, Update, ...).
 func (ex *Executor) ChargeKind(p *des.Proc, work float64, kind trace.Kind, note string) {
 	ex.node.ComputeKind(p, work*ex.factor(), kind, note)
-}
-
-// ChargeAsync charges work on the simulated clock while fn — the pure
-// numeric computation the charge models — runs on the offload pool, joining
-// before return (see simnet.Node.ComputeAsyncKind for the purity contract).
-// work must be computable without running fn; task bodies whose work is
-// value-dependent should use Task.Pure instead.
-func (ex *Executor) ChargeAsync(p *des.Proc, work float64, fn func()) {
-	ex.node.ComputeAsyncKind(p, work*ex.factor(), trace.Compute, "", fn)
-}
-
-// ChargeAsyncKind is ChargeAsync with an explicit trace kind and note.
-func (ex *Executor) ChargeAsyncKind(p *des.Proc, work float64, kind trace.Kind, note string, fn func()) {
-	ex.node.ComputeAsyncKind(p, work*ex.factor(), kind, note, fn)
 }
 
 // factor returns the straggler multiplier in effect for the current task.
@@ -187,9 +168,7 @@ func (ex *Executor) DropCache(rddID int) {
 
 // taskMsg is the driver→executor task descriptor.
 type taskMsg struct {
-	stage    int
 	index    int
-	attempt  int // 0 = original, 1 = speculative copy
 	replyTag string
 	envelope float64 // fixed result envelope size configured by the Context
 	run      func(p *des.Proc, ex *Executor) (result any, resultBytes float64)
@@ -197,9 +176,8 @@ type taskMsg struct {
 
 // taskResult is the executor→driver reply.
 type taskResult struct {
-	index   int
-	attempt int
-	result  any
+	index  int
+	result any
 }
 
 // serve is the executor's server loop: take a task, run it, reply.
@@ -207,9 +185,8 @@ func (ex *Executor) serve(p *des.Proc) {
 	for {
 		msg := ex.node.Recv(p, "task")
 		tm := msg.Payload.(*taskMsg)
-		ex.curStage, ex.curTask, ex.curAttempt = tm.stage, tm.index, tm.attempt
 		res, rb := tm.run(p, ex)
 		ex.node.Send(p, ex.cluster.Driver, tm.replyTag, tm.envelope+rb,
-			&taskResult{index: tm.index, attempt: tm.attempt, result: res})
+			&taskResult{index: tm.index, result: res})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/par"
 	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
@@ -21,7 +20,6 @@ type Context struct {
 	nextRDD  int
 	specSeq  int
 	rng      *rand.Rand
-	accums   []*Accumulator
 	pool     *vec.Pool
 }
 
@@ -31,8 +29,7 @@ func NewContext(c *Cluster, cfg Config) *Context {
 	return &Context{Cluster: c, Cfg: cfg, rng: detrand.New(cfg.StragglerSeed), pool: vec.NewPool()}
 }
 
-// GetVec returns a zeroed model-sized buffer from the context's pool. Pure
-// task closures running on worker threads may call it concurrently. The
+// GetVec returns a zeroed model-sized buffer from the context's pool. The
 // buffer's ownership transfers to the caller; return it with PutVec when the
 // values are dead. Buffer identity never affects numerics (every buffer
 // comes back zeroed), so pooling is outside the bit-identity contract.
@@ -53,19 +50,14 @@ type Task struct {
 	// its inputs, no peer messaging, no shared-state mutation) so the
 	// scheduler may launch speculative copies against stragglers.
 	Speculatable bool
-	// Pure is the task's offloadable numeric computation: a side-effect-free
-	// closure (pure in the sense of simnet.Node.ComputeAsyncKind — it owns
-	// every buffer it writes and touches no simulation state) returning the
-	// virtual-time work it performed. RunStage submits every task's Pure to
-	// the offload pool at dispatch time, before the first task message is
-	// sent, so the closures of all tasks in the stage — the units that are
-	// concurrently runnable in virtual time — execute concurrently on real
-	// OS threads. On the executor, the engine joins the closure and charges
-	// its returned work (as Executor.Charge, under the task's straggler
-	// factor) at exactly the point where Run begins, then invokes Run. With
-	// the pool disabled the closure instead runs inline at that same join
-	// point, reproducing the sequential engine's execution path exactly.
-	// Speculative copies join the same closure and charge the same work.
+	// Pure is the task's numeric computation, split from Run so its work can
+	// be charged before Run begins: a side-effect-free closure (it owns every
+	// buffer it writes and touches no simulation state) returning the
+	// virtual-time work it performed. The first attempt of the task to start
+	// runs it and charges the returned work (as Executor.Charge, under that
+	// attempt's straggler factor), then invokes Run. Pure is a per-task memo:
+	// a speculative copy reuses the first attempt's result and charges the
+	// same work, so the closure runs exactly once.
 	Pure func() (work float64)
 	Run  func(p *des.Proc, ex *Executor) (result any, resultBytes float64)
 }
@@ -87,24 +79,18 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 	stageStart := p.Now()
 	rec.Mark(stageStart, "stage "+name+" start")
 
-	// Offload prefetch: submit every task's pure closure before the first
-	// task message leaves the driver. The stage's tasks are concurrently
-	// runnable in virtual time, so their closures may run concurrently in
-	// real time; each task joins its own handle (and charges the returned
-	// work) when it starts executing, which keeps the virtual-time event
-	// sequence identical to computing inline.
-	handles := make([]*par.Handle, len(tasks))
+	// One runner per task, shared by the original and any speculative copy,
+	// so the task's Pure memo is shared too.
+	runners := make([]func(p *des.Proc, ex *Executor) (any, float64), len(tasks))
 	for i, t := range tasks {
-		if t.Pure != nil {
-			handles[i] = par.Go(t.Pure)
-		}
+		runners[i] = taskRunner(t)
 	}
 
 	for i, t := range tasks {
 		if ctx.Cfg.SchedulerWork > 0 {
 			driver.ComputeKind(p, ctx.Cfg.SchedulerWork, trace.Stage, "schedule "+name)
 		}
-		msg := &taskMsg{stage: ctx.stageSeq, index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
+		msg := &taskMsg{index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(runners[i])}
 		driver.Send(p, ctx.Cluster.reroute(t.Exec, i), "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
 	}
 
@@ -126,9 +112,6 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 		done[tr.index] = true
 		results[tr.index] = tr.result
 		received++
-		for _, acc := range ctx.accums {
-			acc.commit(ctx.stageSeq, tr.index, tr.attempt)
-		}
 		if quantile > 0 && !speculated && received >= int(float64(len(tasks))*quantile) && received < len(tasks) {
 			speculated = true
 			for i, t := range tasks {
@@ -136,7 +119,7 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 					continue
 				}
 				copyTo := ctx.Cluster.reroute(ctx.pickSpeculationHost(t.Exec), i)
-				msg := &taskMsg{stage: ctx.stageSeq, index: i, attempt: 1, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
+				msg := &taskMsg{index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(runners[i])}
 				driver.Send(p, copyTo, "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
 			}
 		}
@@ -146,19 +129,26 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 	return results
 }
 
-// taskRunner composes a task's prefetched pure closure with its Run body:
-// join the closure, charge its work (inside the straggler wrapper, so
-// offloaded work is inflated exactly like inline work), then run. Joining
-// is idempotent, so an original and a speculative copy of the same task
-// share one computation and charge the same work.
-func taskRunner(h *par.Handle, t Task) func(p *des.Proc, ex *Executor) (any, float64) {
-	if h == nil {
+// taskRunner composes a task's Pure closure with its Run body: the first
+// attempt to start runs Pure and remembers its work, and every attempt
+// charges that work (inside its straggler wrapper, so it is inflated exactly
+// like inline work) before running. An original and a speculative copy of the
+// same task therefore share one computation and charge the same work.
+func taskRunner(t Task) func(p *des.Proc, ex *Executor) (any, float64) {
+	if t.Pure == nil {
 		return t.Run
 	}
-	run := t.Run
+	var (
+		ran  bool
+		work float64
+	)
 	return func(p *des.Proc, ex *Executor) (any, float64) {
-		ex.Charge(p, h.Join())
-		return run(p, ex)
+		if !ran {
+			work = t.Pure()
+			ran = true
+		}
+		ex.Charge(p, work)
+		return t.Run(p, ex)
 	}
 }
 

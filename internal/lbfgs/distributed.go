@@ -236,10 +236,9 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 	iteration := func(p *des.Proc, ex *engine.Executor, i, it int, bar *des.Barrier) {
 		// Partial gradient and loss over the local partition. The work is
 		// structural (one gradient pass + one loss pass over the partition's
-		// nonzeros), so the charge overlaps the arithmetic on the offload
-		// pool. The closure only reads w — the next write to w (replica 0's
-		// line-search acceptance) sits behind the AllReduce and barrier this
-		// closure's join precedes.
+		// nonzeros), so it is charged before the arithmetic runs. The pass
+		// only reads w — the next write to w (replica 0's line-search
+		// acceptance) sits behind the AllReduce and barrier that follow it.
 		partial := make([]float64, dim+1)
 		if allreduce.OverlapEnabled() {
 			// Overlapped schedule: hand the collective a two-pass producer
@@ -250,9 +249,8 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 			gs := data.NewGradStream(cfg.Objective, w, parts[i], partial, true, float64(parts[i].NNZ())*2)
 			allreduce.AverageProduced(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("lbg%d", it), partial, gs)
 		} else {
-			ex.ChargeAsync(p, float64(parts[i].NNZ())*2, func() {
-				partial[dim], _ = data.GradAndLoss(cfg.Objective, w, parts[i], partial[:dim])
-			})
+			ex.Charge(p, float64(parts[i].NNZ())*2)
+			partial[dim], _ = data.GradAndLoss(cfg.Objective, w, parts[i], partial[:dim])
 			allreduce.Average(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("lbg%d", it), partial)
 		}
 
@@ -293,10 +291,8 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 				shared.accept = false
 			}
 			bar.Arrive(p) // trial visible to all replicas
-			lossVec := []float64{0}
-			ex.ChargeAsync(p, float64(parts[i].NNZ()), func() {
-				lossVec[0] = data.LossSum(cfg.Objective, shared.trial, parts[i])
-			})
+			ex.Charge(p, float64(parts[i].NNZ()))
+			lossVec := []float64{data.LossSum(cfg.Objective, shared.trial, parts[i])}
 			allreduce.Sum(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("ls%d.%d", it, ls), lossVec)
 			if i == 0 {
 				fNew := lossVec[0]/float64(total) + cfg.Objective.Reg.Value(shared.trial)

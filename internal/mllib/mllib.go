@@ -72,8 +72,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	w := make([]float64, dim)
 	// Per-executor sampled-row scratch, reused across supersteps: the
 	// Bernoulli sampler appends row indices here instead of gathering a fresh
-	// example slice every step. Distinct buffers keep parallel task offload
-	// race-free.
+	// example slice every step. Each task writes only its own executor's
+	// buffer.
 	rowScratch := make([][]int32, k)
 
 	sim.Spawn("driver:mllib", func(p *des.Proc) {

@@ -9,15 +9,14 @@
 // Everything in this package is driven by the virtual clock: events carry
 // des virtual-time spans, histograms observe virtual durations, and no code
 // path consults the wall clock (the determinism analyzer enforces this).
-// Recording happens exclusively from DES process code — never from offloaded
-// pure closures (the obspure analyzer enforces that) — so the event sequence
+// Recording happens exclusively from DES process code, so the event sequence
 // is a pure function of the simulated execution and is byte-identical across
 // runs. Turning the sink on or off changes no training numeric, no simulated
 // byte, and no virtual timestamp: hooks only observe, they never charge.
 //
 // # Wiring
 //
-// The sink is a process-wide switch like par.Configure and sparse.Configure:
+// The sink is a process-wide switch like sparse.Configure:
 // Enable installs a fresh Sink that the instrumentation hooks in simnet,
 // engine, ps, and the trainers feed; Disable uninstalls it. All Sink methods
 // are nil-safe, so call sites write obs.Active().Event(...) unconditionally.
@@ -218,9 +217,8 @@ func KindForSend(ph Phase, dir Dir) trace.Kind {
 // active is the installed sink; nil means telemetry is off (the default).
 var active atomic.Pointer[Sink]
 
-// Enable installs a fresh sink and returns it. Like par.Configure and
-// sparse.Configure this is a process-wide switch intended to be flipped
-// between runs, not during one.
+// Enable installs a fresh sink and returns it. Like sparse.Configure this is
+// a process-wide switch intended to be flipped between runs, not during one.
 func Enable() *Sink {
 	s := NewSink()
 	active.Store(s)

@@ -20,7 +20,6 @@ type SparseAccum struct {
 	stamp   []uint64
 	epoch   uint64
 	touched []int32
-	derivs  []float64 // per-row derivative scratch for the slab path (MGDStepAccumView)
 }
 
 // NewSparseAccum returns an accumulator for dim-dimensional gradients.
@@ -64,15 +63,6 @@ func (a *SparseAccum) At(ix int32) float64 {
 // Touched returns the coordinates accumulated this epoch, in first-touch
 // order. The slice is owned by the accumulator and valid until Reset.
 func (a *SparseAccum) Touched() []int32 { return a.touched }
-
-// derivBuf returns an n-row derivative scratch, growing it on demand. The
-// contents are overwritten by the caller before use.
-func (a *SparseAccum) derivBuf(n int) []float64 {
-	if cap(a.derivs) < n {
-		a.derivs = make([]float64, n)
-	}
-	return a.derivs[:n]
-}
 
 // addGradient accumulates the batch loss gradient Σ l'(<w,x>, y)·x into a,
 // mirroring glm.Objective.AddGradient on a dense buffer: per example, per
@@ -124,21 +114,4 @@ func MGDStepAccum(obj glm.Objective, w []float64, batch []glm.Example, eta float
 		work += len(w) // dense regularization sweep
 	}
 	return work
-}
-
-// LocalMGDEpochAccum is LocalMGDEpoch on a SparseAccum instead of a dense
-// scratch buffer; same batching, same schedule, bit-identical model.
-func LocalMGDEpochAccum(obj glm.Objective, w []float64, data []glm.Example, batchSize int, sched Schedule, stepBase int, accum *SparseAccum) (work, steps int) {
-	if batchSize <= 0 {
-		batchSize = len(data)
-	}
-	for lo := 0; lo < len(data); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		work += MGDStepAccum(obj, w, data[lo:hi], sched(stepBase+steps), accum)
-		steps++
-	}
-	return work, steps
 }

@@ -93,27 +93,6 @@ func TestMGDStepAccumNegZeroGradient(t *testing.T) {
 	}
 }
 
-// TestLocalMGDEpochAccumMatchesDense asserts the epoch drivers agree on
-// model, work, and step count.
-func TestLocalMGDEpochAccumMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	obj := glm.Objective{Loss: glm.Logistic{}, Reg: glm.L2{Strength: 0.02}}
-	dim := 24
-	data := synthBatch(rng, 57, dim)
-	wDense := make([]float64, dim)
-	wAccum := make([]float64, dim)
-	workD, stepsD := LocalMGDEpoch(obj, wDense, data, 10, Const(0.05), 0, make([]float64, dim))
-	workA, stepsA := LocalMGDEpochAccum(obj, wAccum, data, 10, Const(0.05), 0, NewSparseAccum(dim))
-	if workD != workA || stepsD != stepsA {
-		t.Fatalf("accum (work=%d steps=%d) != dense (work=%d steps=%d)", workA, stepsA, workD, stepsD)
-	}
-	for j := range wDense {
-		if math.Float64bits(wDense[j]) != math.Float64bits(wAccum[j]) {
-			t.Fatalf("w[%d] differs", j)
-		}
-	}
-}
-
 // TestLocalPassWithScratchBitIdentical asserts the scratch-reusing pass
 // matches the allocating one across repeated passes (the scratch carries
 // state between calls and must be fully reset).

@@ -96,45 +96,3 @@ func LocalMGDEpochView(obj glm.Objective, w []float64, v data.View, batchSize in
 	}
 	return work, steps
 }
-
-// MGDStepAccumView is MGDStepAccum over a view. The slab path splits the
-// accumulation in two phases — all per-row derivatives first (fused slab
-// pass; w does not change during accumulation, so the values are
-// bit-identical to interleaved computation), then the sparse adds in the
-// same row/nonzero order the interface path uses.
-func MGDStepAccumView(obj glm.Objective, w []float64, batch data.View, eta float64, accum *SparseAccum) (work int) {
-	rows := batch.NumRows()
-	if rows == 0 {
-		return 0
-	}
-	accum.Reset()
-	if derivs := accum.derivBuf(rows); data.DerivsInto(obj.Loss, w, batch, derivs) {
-		n := int32(len(w))
-		for i := 0; i < rows; i++ {
-			_, ind, val := batch.Row(i)
-			if d := derivs[i]; d != 0 {
-				for p, ix := range ind {
-					if ix >= n {
-						break
-					}
-					accum.Add(ix, d*val[p])
-				}
-			}
-			work += len(ind)
-		}
-	} else {
-		work = addGradient(obj, w, batch.Examples(), accum)
-	}
-	inv := eta / float64(rows)
-	if _, isNone := obj.Reg.(glm.None); isNone {
-		for _, ix := range accum.Touched() {
-			w[ix] -= inv * accum.vals[ix]
-		}
-	} else {
-		for j := range w {
-			w[j] -= inv*accum.At(int32(j)) + eta*obj.Reg.DerivAt(w[j])
-		}
-		work += len(w) // dense regularization sweep
-	}
-	return work
-}

@@ -27,7 +27,6 @@ import (
 	"mllibstar/internal/opt"
 	"mllibstar/internal/ps"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -114,10 +113,10 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				eta := sched(t - 1)
 				// The step's work is structural — nonzeros in the batch, plus
 				// the dense delta construction when regularized — so the
-				// charge is known before the arithmetic runs and the delta
-				// computation overlaps it on the offload pool. The closure is
-				// pure: w is this worker's private pull buffer, scratch and
-				// delta are worker-owned, batch is read-only.
+				// charge is known before the arithmetic runs. The delta
+				// computation touches only worker state: w is this worker's
+				// private pull buffer, scratch and delta are worker-owned,
+				// batch is read-only.
 				work := span1.NNZ() + span2.NNZ()
 				if !regIsNone {
 					work += 2 * dim
@@ -126,35 +125,34 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
+				node.Compute(p, effort)
 				var delta []float64
-				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
-					if regIsNone {
-						// Parallel SGD inside the batch: many updates per step.
-						// A wrapping window is two contiguous spans; running
-						// them back to back (stepBase continuing across the
-						// seam) is the same per-example update sequence the
-						// gathered batch produced.
-						local := vec.Copy(w)
-						opt.LocalPassView(prm.Objective, local, span1, opt.Const(eta), 0, nil)
-						if span2.NumRows() > 0 {
-							opt.LocalPassView(prm.Objective, local, span2, opt.Const(eta), span1.NumRows(), nil)
-						}
-						delta = local
-						vec.AddScaled(delta, w, -1)
-					} else {
-						// One dense batch-GD update per communication step.
-						delta = make([]float64, dim)
-						data.AddGradient(prm.Objective, w, span1, scratch) // scratch = Σ∇l
-						if span2.NumRows() > 0 {
-							data.AddGradient(prm.Objective, w, span2, scratch)
-						}
-						inv := eta / float64(batchRows)
-						for j := 0; j < dim; j++ {
-							delta[j] = -inv*scratch[j] - eta*prm.Objective.Reg.DerivAt(w[j])
-							scratch[j] = 0
-						}
+				if regIsNone {
+					// Parallel SGD inside the batch: many updates per step.
+					// A wrapping window is two contiguous spans; running
+					// them back to back (stepBase continuing across the
+					// seam) is the same per-example update sequence the
+					// gathered batch produced.
+					local := vec.Copy(w)
+					opt.LocalPassView(prm.Objective, local, span1, opt.Const(eta), 0, nil)
+					if span2.NumRows() > 0 {
+						opt.LocalPassView(prm.Objective, local, span2, opt.Const(eta), span1.NumRows(), nil)
 					}
-				})
+					delta = local
+					vec.AddScaled(delta, w, -1)
+				} else {
+					// One dense batch-GD update per communication step.
+					delta = make([]float64, dim)
+					data.AddGradient(prm.Objective, w, span1, scratch) // scratch = Σ∇l
+					if span2.NumRows() > 0 {
+						data.AddGradient(prm.Objective, w, span2, scratch)
+					}
+					inv := eta / float64(batchRows)
+					for j := 0; j < dim; j++ {
+						delta[j] = -inv*scratch[j] - eta*prm.Objective.Reg.DerivAt(w[j])
+						scratch[j] = 0
+					}
+				}
 				upd := int64(1)
 				if regIsNone {
 					upd = int64(batchRows)

@@ -26,7 +26,6 @@ import (
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/par"
 	"mllibstar/internal/trace"
 )
 
@@ -211,28 +210,6 @@ func (nd *Node) Observe(p *des.Proc, kind trace.Kind, start, end float64, note s
 	}
 	nd.net.rec.Add(nd.spec.Name, kind, start, end, note)
 	obs.Active().SpanProc(nd.spec.Name, obs.PhaseForKind(kind), start, end, note, causalProc(p))
-}
-
-// ComputeAsyncKind overlaps a pure numeric closure with its virtual-time
-// charge: fn is submitted to the offload pool (package par), the calling
-// process is charged work on the simulated clock exactly as ComputeKind
-// would, and fn is joined before returning. While the process waits out the
-// charge in virtual time, the des kernel runs other processes, whose own
-// submitted closures then execute concurrently on real OS threads — that
-// overlap is the entire wall-clock win, and it cannot change any result
-// because fn's outputs are not observed until after the join.
-//
-// fn must be pure in the offload sense: it may read only state no
-// concurrently runnable process writes, write only buffers this task owns,
-// and never touch the simulation. work must be known without running fn
-// (structural work — e.g. nonzeros in the partition); when it is not, use
-// the engine's Task.Pure prefetch instead, which charges the closure's
-// returned work.
-func (nd *Node) ComputeAsyncKind(p *des.Proc, work float64, kind trace.Kind, note string, fn func()) float64 {
-	h := par.Do(fn)
-	d := nd.ComputeKind(p, work, kind, note)
-	h.Join()
-	return d
 }
 
 // Send transmits a message from this node to the named destination. The

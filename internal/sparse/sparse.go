@@ -53,8 +53,9 @@ const (
 	DenseCoordBytes = 8
 )
 
-// enabled is the process-wide switch, off by default. Like par.Configure it
-// is read on hot paths through an atomic so tests can toggle it.
+// enabled is the process-wide switch, off by default. Like
+// allreduce.Configure it is read on hot paths through an atomic so tests can
+// toggle it.
 var enabled atomic.Bool
 
 // Configure turns sparse encoding on or off for subsequent collectives.

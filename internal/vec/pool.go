@@ -1,21 +1,18 @@
 package vec
 
-import "sync"
-
 // Pool recycles dense model-sized buffers across training steps, keyed by
 // length. Get transfers ownership of a zeroed buffer to the caller; Put
 // transfers it back. The ownership rules are enforced by the vecalias
 // analyzer's pooled-buffer check: a buffer must not be used after Put, and
 // must not be Put twice.
 //
-// The mutex (rather than sync.Pool) is deliberate: buffers are requested
-// from offloaded closures on worker threads while the simulation goroutine
-// recycles them, the hot sizes are few (model-dimension vectors), and a
-// bounded free list keeps behaviour deterministic enough to reason about.
-// Buffer identity never influences numerics — every Get returns all zeros —
-// so the pool is outside the bit-identity contract.
+// A plain free list (rather than sync.Pool) is deliberate: every Get and Put
+// runs on the simulation's single logical thread, so no lock is needed, the
+// hot sizes are few (model-dimension vectors), and a bounded free list keeps
+// behaviour deterministic enough to reason about. Buffer identity never
+// influences numerics — every Get returns all zeros — so the pool is outside
+// the bit-identity contract.
 type Pool struct {
-	mu   sync.Mutex
 	free map[int][][]float64
 }
 
@@ -28,15 +25,12 @@ func NewPool() *Pool {
 // construction; recycled buffers are cleared here — the only point a
 // full-model zeroing is actually required.
 func (p *Pool) Get(n int) []float64 {
-	p.mu.Lock()
 	list := p.free[n]
 	if len(list) == 0 {
-		p.mu.Unlock()
 		return make([]float64, n)
 	}
 	b := list[len(list)-1]
 	p.free[n] = list[:len(list)-1]
-	p.mu.Unlock()
 	clear(b)
 	return b
 }
@@ -48,7 +42,5 @@ func (p *Pool) Put(b []float64) {
 	if b == nil {
 		return
 	}
-	p.mu.Lock()
 	p.free[len(b)] = append(p.free[len(b)], b) //mlstar:nolint vecalias -- Put is the ownership-transfer point: the caller forfeits b
-	p.mu.Unlock()
 }
